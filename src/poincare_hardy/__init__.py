@@ -48,13 +48,7 @@ from .identities import (
     mode_margin_decomposition,
 )
 from .jets import Jet
-from .operators import (
-    grad_norm_sq,
-    iterated_laplace,
-    laplace_radial,
-    mode_operator,
-    to_v_transform,
-)
+from .operators import laplace_radial, to_v_transform
 from .profiles import (
     Bump,
     Cutoff,
@@ -66,7 +60,7 @@ from .profiles import (
     suite_names,
     suite_version,
 )
-from .quadrature import QuadratureSpec, integrate_weighted
+from .quadrature import QuadratureSpec
 from .reports import IdentityResidualReport, MarginReport
 from .verify import (
     margin_general,
@@ -115,10 +109,7 @@ __all__ = [
     "check_trans1",
     "mode_margin_decomposition",
     "Jet",
-    "grad_norm_sq",
-    "iterated_laplace",
     "laplace_radial",
-    "mode_operator",
     "to_v_transform",
     "Bump",
     "Cutoff",
@@ -130,7 +121,6 @@ __all__ = [
     "suite_names",
     "suite_version",
     "QuadratureSpec",
-    "integrate_weighted",
     "IdentityResidualReport",
     "MarginReport",
     "margin_general",

@@ -73,7 +73,6 @@ def _build_parser() -> _Parser:
         p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
         p.add_argument("--panels", type=int, default=None, help="quadrature panels per axis")
         p.add_argument("--nodes", type=int, default=None, help="Gauss-Legendre nodes per panel")
-        p.add_argument("--rmax", type=float, default=None, help="override integration radius")
         p.add_argument("--doublings", type=int, default=None, help="panel doubling budget")
 
     c = sub.add_parser("constants", help="exact rational constant table for a case (k, l, N)")
@@ -117,36 +116,15 @@ def _build_parser() -> _Parser:
     h.add_argument("--N", type=int, default=5, help="dimension (default 5)")
     h.add_argument("--alpha", type=float, action="append", default=None, help="power(s) for pf1/pf2")
     h.add_argument("--suite", default="standard", help="half-space suite name")
-    h.add_argument("--tol", type=float, default=None, help="verdict tolerance")
-    h.add_argument("--panels", type=int, default=None, help="quadrature panels per axis")
-    h.add_argument("--nodes", type=int, default=None, help="Gauss-Legendre nodes per panel")
-    h.add_argument("--doublings", type=int, default=None, help="panel doubling budget")
+    add_quad(h)
     add_common(h)
     return parser
 
 
-def _qspec(args) -> QuadratureSpec:
-    kw = {}
-    if args.rmax is not None:
-        kw["r_max"] = args.rmax
-    if args.panels is not None:
-        kw["panels"] = args.panels
-    if args.nodes is not None:
-        kw["nodes_per_panel"] = args.nodes
-    if args.doublings is not None:
-        kw["max_doublings"] = args.doublings
-    return QuadratureSpec(**kw)
-
-
-def _pspec(args) -> PlaneQuadratureSpec:
-    kw = {}
-    if args.panels is not None:
-        kw["panels"] = args.panels
-    if args.nodes is not None:
-        kw["nodes_per_panel"] = args.nodes
-    if args.doublings is not None:
-        kw["max_doublings"] = args.doublings
-    return PlaneQuadratureSpec(**kw)
+def _spec(cls, args):
+    """A QuadratureSpec or PlaneQuadratureSpec with the flags the user set."""
+    given = {"panels": args.panels, "nodes_per_panel": args.nodes, "max_doublings": args.doublings}
+    return cls(**{name: value for name, value in given.items() if value is not None})
 
 
 def _rat(x: Fraction) -> str:
@@ -217,58 +195,53 @@ def _finish_reports(command, extra, reports, suite_name, rows_fn, line_fn):
     return payload, rows, "\n".join(lines), 0 if all_pass else 1
 
 
+# (u, args, spec, tol) -> reports of one test function.  The lambdas look the
+# check functions up at call time, so a wrapper installed on this module's
+# names sees every call.
+_VERIFY = {
+    "thm21": lambda u, a, spec, tol: [margin_thm21(u, a.N, spec, tol)],
+    "rellich": lambda u, a, spec, tol: [margin_rellich(u, a.N, spec, tol)],
+    "poincare": lambda u, a, spec, tol: [margin_poincare_hardy(u, a.N, spec, tol)],
+    "yang": lambda u, a, spec, tol: [margin_yang(u, a.N, a.beta, spec, tol)],
+    "general": lambda u, a, spec, tol: [margin_general(CaseSpec(a.k, a.l, a.N), u, spec, tol)],
+    "hardy1d": lambda u, a, spec, tol: check_1d_lemmas(u, spec, tol=tol),
+}
+
+_IDENTITY = {
+    "ph1": lambda u, a, spec, tol: check_ph1(u, a.N, tol=tol),
+    "trans1": lambda u, a, spec, tol: check_trans1(u, a.N, tol=tol),
+    "estimate1": lambda u, a, spec, tol: check_estimate1(u, a.n, a.N, spec, tol),
+    "estimate2": lambda u, a, spec, tol: check_estimate2(u, a.n, a.N, spec, tol),
+}
+
+
 def _cmd_verify(args):
-    qspec = _qspec(args)
+    qspec = _spec(QuadratureSpec, args)
     tol = args.tol if args.tol is not None else 1e-8
     suite = load_suite(args.suite)
-    reports = []
-    if args.case == "hardy1d":
-        for u in suite:
-            reports.extend(check_1d_lemmas(u, qspec, tol=tol))
-        n_out = None
-    else:
-        if args.N is None:
-            raise HypothesisError(f"--case {args.case} requires --N")
-        n_out = args.N
-        for u in suite:
-            if args.case == "thm21":
-                reports.append(margin_thm21(u, args.N, qspec, tol))
-            elif args.case == "rellich":
-                reports.append(margin_rellich(u, args.N, qspec, tol))
-            elif args.case == "poincare":
-                reports.append(margin_poincare_hardy(u, args.N, qspec, tol))
-            elif args.case == "yang":
-                reports.append(margin_yang(u, args.N, args.beta, qspec, tol))
-            else:
-                if args.k is None or args.l is None:
-                    raise HypothesisError("--case general requires --k and --l")
-                reports.append(margin_general(CaseSpec(args.k, args.l, args.N), u, qspec, tol))
-    extra = {"case": args.case, "N": n_out, "tol": tol}
+    if args.case != "hardy1d" and args.N is None:
+        raise HypothesisError(f"--case {args.case} requires --N")
+    if args.case == "general" and (args.k is None or args.l is None):
+        raise HypothesisError("--case general requires --k and --l")
+    check = _VERIFY[args.case]
+    reports = [r for u in suite for r in check(u, args, qspec, tol)]
+    extra = {"case": args.case, "N": None if args.case == "hardy1d" else args.N, "tol": tol}
     return _finish_reports("verify", extra, reports, args.suite, margin_csv_rows, _margin_line)
 
 
 def _cmd_identity(args):
-    qspec = _qspec(args)
+    qspec = _spec(QuadratureSpec, args)
     pointwise = args.which in ("ph1", "trans1")
     tol = args.tol if args.tol is not None else (1e-10 if pointwise else 1e-8)
     suite = load_suite(args.suite)
-    reports = []
-    for u in suite:
-        if args.which == "ph1":
-            reports.append(check_ph1(u, args.N, tol=tol))
-        elif args.which == "trans1":
-            reports.append(check_trans1(u, args.N, tol=tol))
-        elif args.which == "estimate1":
-            reports.append(check_estimate1(u, args.n, args.N, qspec, tol))
-        else:
-            reports.append(check_estimate2(u, args.n, args.N, qspec, tol))
+    reports = [_IDENTITY[args.which](u, args, qspec, tol) for u in suite]
     extra = {"which": args.which, "N": args.N, "n": None if pointwise else args.n, "tol": tol}
     return _finish_reports("identity", extra, reports, args.suite, identity_csv_rows, _identity_line)
 
 
 def _cmd_sharpness(args):
     params = [float(x) for x in args.params.split(",")] if args.params else None
-    rows_data = sharpness_probe(args.case, args.N, params, _qspec(args))
+    rows_data = sharpness_probe(args.case, args.N, params, _spec(QuadratureSpec, args))
     payload = {"command": "sharpness", "case": args.case, "N": args.N, "rows": rows_data}
     case_id = f"sharpness_{args.case}"
     rows = [
@@ -281,7 +254,7 @@ def _cmd_sharpness(args):
 
 
 def _cmd_halfspace(args):
-    pspec = _pspec(args)
+    pspec = _spec(PlaneQuadratureSpec, args)
     members = halfspace_suite(args.suite)
     which = args.which
     if which in ("rellich1", "rellich2", "hardy_mazya"):
@@ -320,13 +293,18 @@ def _default_name(args) -> str:
     return "_".join(bits) + "." + ext
 
 
-def _emit(args, payload, rows, text) -> None:
+def _render(args, payload, rows, text) -> str:
     if args.format == "json":
-        content = dumps_json(payload)
-    elif args.format == "csv":
-        content = dumps_csv(rows, _CSV_HEADER)
-    else:
-        content = text if text.endswith("\n") else text + "\n"
+        try:
+            return dumps_json(payload)
+        except ValueError as exc:  # canonical JSON has no inf or nan
+            raise FloatingPointError(f"non-finite value in the report: {exc}") from exc
+    if args.format == "csv":
+        return dumps_csv(rows, _CSV_HEADER)
+    return text if text.endswith("\n") else text + "\n"
+
+
+def _emit(args, content: str) -> None:
     path = args.out
     if path is None:
         outdir = os.environ.get(_OUTDIR_ENV)
@@ -353,6 +331,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         payload, rows, text, code = _HANDLERS[args.command](args)
+        content = _render(args, payload, rows, text)
     except HypothesisError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 64
@@ -366,7 +345,7 @@ def main(argv=None) -> int:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     try:
-        _emit(args, payload, rows, text)
+        _emit(args, content)
     except OSError as exc:
         print(f"output failure: {exc}", file=sys.stderr)
         return 2

@@ -11,14 +11,15 @@ sides of every inequality identically.  The geodesic distance to the point
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
+from fractions import Fraction as F
 
 import numpy as np
 
 from .constants import halfspace_constants
 from .errors import HypothesisError
 from .profiles import RadialProfile, load_halfspace_suite
+from .quadrature import _chebyshev, _check_spec, _doubling, _panel_rule
 from .reports import IdentityResidualReport, MarginReport
 
 __all__ = [
@@ -30,7 +31,6 @@ __all__ = [
     "PlaneGrid",
     "build_plane_grid",
     "converge_plane_terms",
-    "euclid_laplacian_separable",
     "margin_halfspace",
     "margin_hardy_mazya",
     "check_pf1",
@@ -98,18 +98,8 @@ class PlaneQuadratureSpec:
     abs_tol: float = 1e-30
     max_doublings: int = 2
 
-
-@functools.lru_cache(maxsize=None)
-def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    return np.polynomial.legendre.leggauss(n)
-
-
-def _axis(lo: float, hi: float, panels: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    breaks = np.linspace(lo, hi, panels + 1)
-    x, w = _gauss(nodes)
-    half = 0.5 * np.diff(breaks)
-    mid = 0.5 * (breaks[1:] + breaks[:-1])
-    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
+    def __post_init__(self):
+        _check_spec(self)
 
 
 class PlaneGrid:
@@ -131,35 +121,14 @@ class PlaneGrid:
 def build_plane_grid(spec: PlaneQuadratureSpec, box: tuple[float, float, float], refine: int = 0) -> PlaneGrid:
     rho_hi, y_lo, y_hi = box
     panels = spec.panels * (1 << refine)
-    rho, wr = _axis(0.0, rho_hi, panels, spec.nodes_per_panel)
-    y, wy = _axis(y_lo, y_hi, panels, spec.nodes_per_panel)
+    rho, wr = _panel_rule(np.linspace(0.0, rho_hi, panels + 1), spec.nodes_per_panel)
+    y, wy = _panel_rule(np.linspace(y_lo, y_hi, panels + 1), spec.nodes_per_panel)
     return PlaneGrid(rho, wr, y, wy, refine)
 
 
 def converge_plane_terms(fn, spec: PlaneQuadratureSpec, box):
-    """Plane analog of the radial doubling loop; same (values, errors) contract."""
-    prev = fn(build_plane_grid(spec, box, 0))
-    errors = {key: float("inf") for key in prev}
-    for refine in range(1, spec.max_doublings + 1):
-        cur = fn(build_plane_grid(spec, box, refine))
-        errors = {key: max(abs(cur[key] - prev[key]), float(np.spacing(abs(cur[key])))) for key in cur}
-        prev = cur
-        scale = max((abs(v) for v in cur.values()), default=0.0)
-        if all(e <= spec.rel_tol * scale + spec.abs_tol for e in errors.values()):
-            break
-    return prev, errors
-
-
-def euclid_laplacian_separable(v: SeparableTestFunction, N: int, rho: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Flat Laplacian of phi(rho) psi(y) on the tensor grid.
-
-    (phi'' + (N-2) phi'/rho) psi + phi psi''; the x-part is the radial
-    Laplacian in R^{N-1}.
-    """
-    pj = v.phi.jet(np.asarray(rho, dtype=float), 2)
-    qj = v.psi.jet(np.asarray(y, dtype=float), 2)
-    lap_x = pj.derivative(2) + (N - 2) * pj.derivative(1) / np.asarray(rho, dtype=float)
-    return np.multiply.outer(lap_x, qj.value()) + np.multiply.outer(pj.value(), qj.derivative(2))
+    """Plane analog of ``quadrature.converge_terms``; same (values, errors) contract."""
+    return _doubling(fn, spec, lambda refine: build_plane_grid(spec, box, refine))
 
 
 class _PlaneTable:
@@ -186,12 +155,21 @@ class _PlaneTable:
         return self.grid.integrate(values * self.rho_pow[:, None])
 
 
-def _plane_raw(v, N, spec, integrands):
+def _plane_integrals(v, N, spec, integrands):
+    """Converged ``{term: integral}`` for ``integrands = {term: f(_PlaneTable) -> values}``."""
+
     def fn(grid):
         table = _PlaneTable(v, N, grid)
         return {key: table.integrate(make(table)) for key, make in integrands.items()}
 
-    return converge_plane_terms(fn, spec, v.box)
+    return converge_plane_terms(fn, spec or PlaneQuadratureSpec(), v.box)
+
+
+def _plane_margin(case, v, N, table, spec, tol) -> MarginReport:
+    """Evaluate one inequality table ``{term: (integrand, coef)}`` on v."""
+    vals, errs = _plane_integrals(v, N, spec, {key: make for key, (make, _) in table.items()})
+    coef = {key: c for key, (_, c) in table.items()}
+    return MarginReport.from_integrals(case, v.id, N, vals, errs, coef, tol)
 
 
 def margin_halfspace(
@@ -208,54 +186,32 @@ def margin_halfspace(
     v^2/(y^2 d^4).  "rellich2": int (Lap v)^2 + c_grad |grad v|^2/y^2 dx dy
     bounds v^2/y^4 with remainders v^2/(y^4 d^2), v^2/(y^4 d^4).
     """
-    consts = halfspace_constants(which, N)
-    spec = spec or PlaneQuadratureSpec()
+    c = halfspace_constants(which, N)
     if which == "rellich1":
-        integrands = {
-            "lap2_y2": lambda t: t.ymesh**2 * t.lap**2,
-            "grad": lambda t: t.grad_sq,
-            "y2": lambda t: t.v**2 / t.ymesh**2,
-            "d2": lambda t: t.v**2 / (t.ymesh**2 * t.dist**2),
-            "d4": lambda t: t.v**2 / (t.ymesh**2 * t.dist**4),
-        }
-        coef = {
-            "lap2_y2": 1,
-            "grad": consts["grad"],
-            "y2": -consts["y2"],
-            "d2": -consts["d2"],
-            "d4": -consts["d4"],
+        table = {
+            "lap2_y2": (lambda t: t.ymesh**2 * t.lap**2, 1),
+            "grad": (lambda t: t.grad_sq, c["grad"]),
+            "y2": (lambda t: t.v**2 / t.ymesh**2, -c["y2"]),
+            "d2": (lambda t: t.v**2 / (t.ymesh**2 * t.dist**2), -c["d2"]),
+            "d4": (lambda t: t.v**2 / (t.ymesh**2 * t.dist**4), -c["d4"]),
         }
     else:
-        integrands = {
-            "lap2": lambda t: t.lap**2,
-            "grad_y2": lambda t: t.grad_sq / t.ymesh**2,
-            "y4": lambda t: t.v**2 / t.ymesh**4,
-            "d2": lambda t: t.v**2 / (t.ymesh**4 * t.dist**2),
-            "d4": lambda t: t.v**2 / (t.ymesh**4 * t.dist**4),
+        table = {
+            "lap2": (lambda t: t.lap**2, 1),
+            "grad_y2": (lambda t: t.grad_sq / t.ymesh**2, c["grad"]),
+            "y4": (lambda t: t.v**2 / t.ymesh**4, -c["y4"]),
+            "d2": (lambda t: t.v**2 / (t.ymesh**4 * t.dist**2), -c["d2"]),
+            "d4": (lambda t: t.v**2 / (t.ymesh**4 * t.dist**4), -c["d4"]),
         }
-        coef = {
-            "lap2": 1,
-            "grad_y2": consts["grad"],
-            "y4": -consts["y4"],
-            "d2": -consts["d2"],
-            "d4": -consts["d4"],
-        }
-    vals, errs = _plane_raw(v, N, spec, integrands)
-    signed = {key: float(c) * vals[key] for key, c in coef.items()}
-    noise = float(sum(abs(float(c)) * errs[key] for key, c in coef.items()))
-    return MarginReport(case=f"halfspace_{which}", function_id=v.id, N=N, terms=signed, noise=noise, tol=tol)
+    return _plane_margin(f"halfspace_{which}", v, N, table, spec, tol)
 
 
 def margin_hardy_mazya(
     v: SeparableTestFunction, N: int, spec: PlaneQuadratureSpec | None = None, tol: float = 1e-7
 ) -> MarginReport:
     """int |grad v|^2 dx dy >= (1/4) int v^2/y^2 dx dy on the half-space."""
-    spec = spec or PlaneQuadratureSpec()
-    integrands = {"grad": lambda t: t.grad_sq, "y2": lambda t: t.v**2 / t.ymesh**2}
-    vals, errs = _plane_raw(v, N, spec, integrands)
-    signed = {"grad": vals["grad"], "y2": -0.25 * vals["y2"]}
-    noise = float(errs["grad"] + 0.25 * errs["y2"])
-    return MarginReport(case="hardy_mazya", function_id=v.id, N=N, terms=signed, noise=noise, tol=tol)
+    table = {"grad": (lambda t: t.grad_sq, 1), "y2": (lambda t: t.v**2 / t.ymesh**2, -F(1, 4))}
+    return _plane_margin("hardy_mazya", v, N, table, spec, tol)
 
 
 def check_pf1(
@@ -272,42 +228,22 @@ def check_pf1(
     + alpha (N - 1 - alpha) int y^{2 alpha - N} v^2 dx dy.
     The left side is evaluated by differentiating y^alpha v directly.
     """
-    spec = spec or PlaneQuadratureSpec()
 
-    def fn(grid):
-        table = _PlaneTable(v, N, grid)
-        ym = table.ymesh
-        u_rho = ym**alpha * table.v_rho
-        u_y = alpha * ym ** (alpha - 1.0) * table.v + ym**alpha * table.v_y
-        return {
-            "lhs": table.integrate(ym ** (2.0 - N) * (u_rho**2 + u_y**2)),
-            "grad_v": table.integrate(ym ** (2.0 * alpha + 2.0 - N) * table.grad_sq),
-            "v2": table.integrate(ym ** (2.0 * alpha - N) * table.v**2),
-        }
+    def energy_u(t):
+        u_rho = t.ymesh**alpha * t.v_rho
+        u_y = alpha * t.ymesh ** (alpha - 1.0) * t.v + t.ymesh**alpha * t.v_y
+        return t.ymesh ** (2.0 - N) * (u_rho**2 + u_y**2)
 
-    vals, _ = converge_plane_terms(fn, spec, v.box)
+    integrands = {
+        "lhs": energy_u,
+        "grad_v": lambda t: t.ymesh ** (2.0 * alpha + 2.0 - N) * t.grad_sq,
+        "v2": lambda t: t.ymesh ** (2.0 * alpha - N) * t.v**2,
+    }
+    vals, _ = _plane_integrals(v, N, spec, integrands)
     lhs = vals["lhs"]
     rhs = vals["grad_v"] + alpha * (N - 1.0 - alpha) * vals["v2"]
-    max_abs = abs(lhs - rhs)
-    scale = max(abs(lhs), abs(rhs))
-    return IdentityResidualReport(
-        identity="pf1",
-        function_id=v.id,
-        N=N,
-        n=None,
-        max_abs_residual=max_abs,
-        max_rel_residual=max_abs / scale if scale > 0 else 0.0,
-        tol=tol,
-        details={"alpha": alpha, "lhs": lhs, "rhs": rhs},
-    )
-
-
-def _cheb(lo: float, hi: float, count: int, margin: float = 0.01) -> np.ndarray:
-    span = hi - lo
-    lo2, hi2 = lo + margin * span, hi - margin * span
-    j = np.arange(count)
-    x = np.cos((2 * j + 1) * np.pi / (2 * count))
-    return 0.5 * (lo2 + hi2) + 0.5 * (hi2 - lo2) * x
+    details = {"alpha": alpha, "lhs": lhs, "rhs": rhs}
+    return IdentityResidualReport.from_sides("pf1", v.id, N, None, lhs, rhs, tol, details)
 
 
 def check_pf2(
@@ -323,8 +259,8 @@ def check_pf2(
     residual of the variant with middle power alpha is reported in details.
     """
     rho_hi, y_lo, y_hi = v.box
-    rho = _cheb(0.0, rho_hi, counts[0])
-    y = _cheb(y_lo, y_hi, counts[1])
+    rho = _chebyshev(0.0, rho_hi, counts[0])
+    y = _chebyshev(y_lo, y_hi, counts[1])
     pj = v.phi.jet(rho, 2)
     qj = v.psi.jet(y, 2)
     outer = np.multiply.outer
@@ -355,16 +291,7 @@ def check_pf2(
         + (2.0 * alpha - (N - 2)) * ym**alpha * v_y
         + alpha * (alpha - (N - 1.0)) * ym**alpha * vv
     )
-    max_abs = float(np.max(np.abs(lhs - rhs)))
     scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
     flat_abs = float(np.max(np.abs(lhs - rhs_flat_mid)))
-    return IdentityResidualReport(
-        identity="pf2",
-        function_id=v.id,
-        N=N,
-        n=None,
-        max_abs_residual=max_abs,
-        max_rel_residual=max_abs / scale if scale > 0 else 0.0,
-        tol=tol,
-        details={"alpha": alpha, "flat_middle_max_rel": flat_abs / scale if scale > 0 else 0.0},
-    )
+    details = {"alpha": alpha, "flat_middle_max_rel": flat_abs / scale if scale > 0 else 0.0}
+    return IdentityResidualReport.from_sides("pf2", v.id, N, None, lhs, rhs, tol, details)

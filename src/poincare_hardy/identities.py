@@ -18,7 +18,7 @@ from .constants import anbn, lambda_n
 from .jets import coth
 from .profiles import RadialProfile
 from .operators import laplace_radial, to_v_transform
-from .quadrature import QuadratureSpec, converge_terms
+from .quadrature import QuadratureSpec, _chebyshev, converge_terms
 from .reports import IdentityResidualReport, MarginReport
 
 __all__ = [
@@ -36,29 +36,7 @@ def identity_sample_points(u: RadialProfile, count: int = 50, margin: float = 0.
     """Chebyshev points inside the support, excluding a relative margin at each end."""
     if u.support is None:
         raise ValueError("pointwise identity checks need a compactly supported profile")
-    a, b = u.support
-    span = b - a
-    lo, hi = a + margin * span, b - margin * span
-    j = np.arange(count)
-    x = np.cos((2 * j + 1) * np.pi / (2 * count))
-    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
-
-
-def _residual_report(identity, u, N, n, lhs, rhs, tol, details=None) -> IdentityResidualReport:
-    lhs = np.asarray(lhs, dtype=float)
-    rhs = np.asarray(rhs, dtype=float)
-    max_abs = float(np.max(np.abs(lhs - rhs)))
-    scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
-    return IdentityResidualReport(
-        identity=identity,
-        function_id=u.id,
-        N=N,
-        n=n,
-        max_abs_residual=max_abs,
-        max_rel_residual=max_abs / scale if scale > 0 else 0.0,
-        tol=tol,
-        details=dict(details or {}),
-    )
+    return _chebyshev(*u.support, count, margin)
 
 
 def check_ph1(u: RadialProfile, N: int, count: int = 50, tol: float = 1e-10) -> IdentityResidualReport:
@@ -74,7 +52,7 @@ def check_ph1(u: RadialProfile, N: int, count: int = 50, tol: float = 1e-10) -> 
     v, dv = w.value(), w.derivative(1)
     c = coth(r)
     rhs = np.sinh(r) ** (1 - N) * (dv**2 + ((N - 1) ** 2 / 4.0) * c**2 * v**2 - (N - 1) * c * v * dv)
-    return _residual_report("ph1", u, N, None, lhs, rhs, tol)
+    return IdentityResidualReport.from_sides("ph1", u.id, N, None, lhs, rhs, tol)
 
 
 def check_trans1(u: RadialProfile, N: int, count: int = 50, tol: float = 1e-10) -> IdentityResidualReport:
@@ -89,7 +67,7 @@ def check_trans1(u: RadialProfile, N: int, count: int = 50, tol: float = 1e-10) 
     c = coth(r)
     potential = ((N - 1) * (N - 3) / 4.0) * c**2 + (N - 1) / 2.0
     rhs = np.sinh(r) ** ((1 - N) / 2.0) * (ddv - potential * v)
-    return _residual_report("trans1", u, N, None, lhs, rhs, tol)
+    return IdentityResidualReport.from_sides("trans1", u.id, N, None, lhs, rhs, tol)
 
 
 def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
@@ -102,7 +80,7 @@ def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
         r = grid.nodes
         w = to_v_transform(d, N, r, 2)
         v, dv, ddv = w.value(), w.derivative(1), w.derivative(2)
-        c = coth(r, spec.series_coth_below)
+        c = coth(r)
         inv_s2 = np.sinh(r) ** -2.0
         raw = {
             "v2": v**2,
@@ -179,7 +157,7 @@ def check_estimate1(
     spec = spec or QuadratureSpec()
     vals, _ = _mode_raw_integrals(d, N, spec)
     lhs, rhs = _estimate1_sides(vals, n, N)
-    return _residual_report("estimate1", d, N, n, lhs, rhs, tol, details={"lhs": lhs, "rhs": rhs})
+    return IdentityResidualReport.from_sides("estimate1", d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})
 
 
 def _estimate2_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
@@ -209,7 +187,18 @@ def check_estimate2(
     spec = spec or QuadratureSpec()
     vals, _ = _mode_raw_integrals(d, N, spec)
     lhs, rhs = _estimate2_sides(vals, n, N)
-    return _residual_report("estimate2", d, N, n, lhs, rhs, tol, details={"lhs": lhs, "rhs": rhs})
+    return IdentityResidualReport.from_sides("estimate2", d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})
+
+
+# {case: {term: exact coefficient}} over the integrals of check_1d_lemmas.  The
+# lemmas read the order-2 jet of u directly: an N = 1 Laplacian tower gives the
+# same integrals at several times the cost, and sinh^-4 differs from
+# (sinh^-2)^2 in the last bit.
+_LEMMAS = {
+    "hardy1d_sinh": {"grad_sinh2": 1, "sinh4": -F(9, 4), "sinh2": -1},
+    "hardy1d_hardy": {"grad": 1, "r2": -F(1, 4)},
+    "hardy1d_rellich": {"lap2": 1, "r4": -F(9, 16)},
+}
 
 
 def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> list[MarginReport]:
@@ -230,31 +219,18 @@ def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: f
         v, dv, ddv = jet.value(), jet.derivative(1), jet.derivative(2)
         inv_s2 = np.sinh(r) ** -2.0
         raw = {
-            "dv2_s2": dv**2 * inv_s2,
-            "v2_s4": v**2 * inv_s2**2,
-            "v2_s2": v**2 * inv_s2,
-            "dv2": dv**2,
-            "v2_r2": v**2 * r**-2.0,
-            "ddv2": ddv**2,
-            "v2_r4": v**2 * r**-4.0,
+            "grad_sinh2": dv**2 * inv_s2,
+            "sinh4": v**2 * inv_s2**2,
+            "sinh2": v**2 * inv_s2,
+            "grad": dv**2,
+            "r2": v**2 * r**-2.0,
+            "lap2": ddv**2,
+            "r4": v**2 * r**-4.0,
         }
         return {key: grid.integrate(val) for key, val in raw.items()}
 
     vals, errs = converge_terms(terms, spec, r_max)
-
-    def report(case, pieces):
-        signed = {name: sign * vals[key] for name, (key, sign) in pieces.items()}
-        noise = sum(abs(sign) * errs[key] for key, sign in pieces.values())
-        return MarginReport(case=case, function_id=u.id, N=None, terms=signed, noise=noise, tol=tol)
-
-    return [
-        report(
-            "hardy1d_sinh",
-            {"grad_sinh2": ("dv2_s2", 1.0), "sinh4": ("v2_s4", -9.0 / 4.0), "sinh2": ("v2_s2", -1.0)},
-        ),
-        report("hardy1d_hardy", {"grad": ("dv2", 1.0), "r2": ("v2_r2", -0.25)}),
-        report("hardy1d_rellich", {"lap2": ("ddv2", 1.0), "r4": ("v2_r4", -9.0 / 16.0)}),
-    ]
+    return [MarginReport.from_integrals(case, u.id, None, vals, errs, coef, tol) for case, coef in _LEMMAS.items()]
 
 
 def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | None = None) -> dict[str, float]:

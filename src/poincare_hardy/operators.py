@@ -13,19 +13,14 @@ import functools
 
 import numpy as np
 
-from .constants import lambda_n
-from .jets import Jet, cosh_jet, coth, sinh_jet
+from .jets import Jet, coth_jet, sinh_jet
 from .profiles import RadialProfile
 from .quadrature import Grid, QuadratureSpec, build_grid
 
 __all__ = [
     "laplace_of_jet",
     "laplace_radial",
-    "iterated_laplace",
-    "iterated_laplace_jet",
-    "grad_norm_sq",
     "gradk_sq_values",
-    "mode_operator",
     "to_v_transform",
     "RadialTable",
     "radial_table",
@@ -46,45 +41,7 @@ def laplace_radial(u: RadialProfile, N: int, r: np.ndarray, order: int = 0) -> J
     """Jet of the hyperbolic Laplacian of a radial profile at the points r."""
     r = np.asarray(r, dtype=float)
     ujet = u.jet(r, order + 2)
-    return laplace_of_jet(ujet, coth_jet_at(r, order + 2), N)
-
-
-def coth_jet_at(r: np.ndarray, order: int) -> Jet:
-    return cosh_jet(r, order) / sinh_jet(r, order)
-
-
-def iterated_laplace_jet(u: RadialProfile, N: int, m: int, r: np.ndarray, order: int = 0) -> Jet:
-    """Jet of Lap^m u at the points r."""
-    r = np.asarray(r, dtype=float)
-    total = order + 2 * m
-    jet = u.jet(r, total)
-    cj = coth_jet_at(r, total)
-    for _ in range(m):
-        jet = laplace_of_jet(jet, cj, N)
-    return jet
-
-
-def iterated_laplace(u: RadialProfile, N: int, m: int, r: np.ndarray) -> np.ndarray:
-    """Values of Lap^m u at the points r."""
-    return iterated_laplace_jet(u, N, m, r, order=0).value()
-
-
-def grad_norm_sq(u: RadialProfile, r: np.ndarray) -> np.ndarray:
-    """|grad u|^2 = (u')^2 for a radial function."""
-    r = np.asarray(r, dtype=float)
-    return u.jet(r, 1).derivative(1) ** 2
-
-
-def mode_operator(d: RadialProfile, n: int, N: int, r: np.ndarray, series_coth_below: float = 1e-3) -> np.ndarray:
-    """Values of d'' + (N-1) coth(r) d' - lambda_n d / sinh^2 r."""
-    r = np.asarray(r, dtype=float)
-    jet = d.jet(r, 2)
-    lam = float(lambda_n(n, N))
-    return (
-        jet.derivative(2)
-        + (N - 1) * coth(r, series_coth_below) * jet.derivative(1)
-        - lam * jet.value() / np.sinh(r) ** 2
-    )
+    return laplace_of_jet(ujet, coth_jet(r, order + 2), N)
 
 
 def to_v_transform(u: RadialProfile, N: int, r: np.ndarray, order: int) -> Jet:
@@ -99,7 +56,7 @@ class RadialTable:
     def __init__(self, u: RadialProfile, N: int, grid: Grid, levels: int):
         order = 2 * levels + 2
         r = grid.nodes
-        cj = coth_jet_at(r, order)
+        cj = coth_jet(r, order)
         tower = [u.jet(r, order)]
         for _ in range(levels):
             tower.append(laplace_of_jet(tower[-1], cj, N))

@@ -6,7 +6,8 @@ compactly supported ``g``, a possibly singular weight ``w`` (powers of 1/r or
 integrals, 1 for the reduced one-dimensional ones).  Panels are placed
 geometrically toward the origin so the 1/r^{2j} weights meet enough nodes
 where they are large; convergence is certified by doubling the panel count
-and comparing.
+and comparing.  The panel rule, the doubling loop, the spec checks and the
+Chebyshev sampler here are shared with the half-space tensor grid.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import QuadratureError
-from .jets import coth
 
 __all__ = [
     "QuadratureSpec",
@@ -26,34 +26,36 @@ __all__ = [
     "weight_values",
     "measure_values",
     "log_sinh",
-    "integrate_weighted",
     "converge_terms",
 ]
+
+
+def _check_spec(spec) -> None:
+    """Reject grids that are empty or budgets that run no evaluation."""
+    if spec.panels < 1 or spec.nodes_per_panel < 1:
+        raise QuadratureError("panels and nodes_per_panel must be positive")
+    if spec.max_doublings < 0:
+        raise QuadratureError(f"max_doublings must be nonnegative, got {spec.max_doublings}")
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Integration policy for radial integrals on (0, r_max].
 
-    ``r_max=None`` lets callers derive the domain from the test function's
-    support (support end + 1).  The first panel break sits at
-    ``min_break_fraction * r_max`` and breaks grow geometrically from there.
-    ``series_coth_below`` is the switch point below which coth is evaluated
-    by its Laurent series instead of cosh/sinh division.
+    The domain comes from the caller (support end + 1 for every certificate).
+    The first panel break sits at ``min_break_fraction * r_max`` and breaks
+    grow geometrically from there.
     """
 
-    r_max: float | None = None
     panels: int = 32
     nodes_per_panel: int = 64
     min_break_fraction: float = 1e-6
-    series_coth_below: float = 1e-3
     rel_tol: float = 1e-10
     abs_tol: float = 1e-30
     max_doublings: int = 4
 
     def __post_init__(self):
-        if self.panels < 1 or self.nodes_per_panel < 1:
-            raise QuadratureError("panels and nodes_per_panel must be positive")
+        _check_spec(self)
         if not 0.0 < self.min_break_fraction < 1.0:
             raise QuadratureError("min_break_fraction must lie in (0, 1)")
 
@@ -75,8 +77,15 @@ class Grid:
 
 @functools.lru_cache(maxsize=None)
 def _gauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return x, w
+    return np.polynomial.legendre.leggauss(n)
+
+
+def _panel_rule(breaks: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of ``nodes_per_panel`` Gauss-Legendre points on each panel between breaks."""
+    x, w = _gauss(nodes_per_panel)
+    half = 0.5 * np.diff(breaks)
+    mid = 0.5 * (breaks[1:] + breaks[:-1])
+    return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
 
 
 @functools.lru_cache(maxsize=64)
@@ -87,22 +96,24 @@ def _cached_grid(spec: QuadratureSpec, r_max: float, refine: int) -> Grid:
     else:
         ratio = spec.min_break_fraction ** (1.0 / (panels - 1))
         breaks = np.concatenate(([0.0], r_max * ratio ** np.arange(panels - 1, -1, -1.0)))
-    x, w = _gauss(spec.nodes_per_panel)
-    half = 0.5 * np.diff(breaks)
-    mid = 0.5 * (breaks[1:] + breaks[:-1])
-    nodes = (mid[:, None] + half[:, None] * x[None, :]).ravel()
-    weights = (half[:, None] * w[None, :]).ravel()
+    nodes, weights = _panel_rule(breaks, spec.nodes_per_panel)
     return Grid(nodes, weights, r_max, refine)
 
 
-def build_grid(spec: QuadratureSpec, r_max: float | None = None, refine: int = 0) -> Grid:
-    """Build the composite rule; ``spec.r_max`` overrides the argument."""
-    rm = spec.r_max if spec.r_max is not None else r_max
-    if rm is None:
-        raise QuadratureError("no r_max: neither QuadratureSpec.r_max nor the caller provided one")
-    if rm <= 0:
-        raise QuadratureError(f"r_max must be positive, got {rm}")
-    return _cached_grid(spec, float(rm), refine)
+def build_grid(spec: QuadratureSpec, r_max: float, refine: int = 0) -> Grid:
+    """Build the composite rule on (0, r_max]."""
+    if not r_max > 0:
+        raise QuadratureError(f"r_max must be positive, got {r_max}")
+    return _cached_grid(spec, float(r_max), refine)
+
+
+def _chebyshev(lo: float, hi: float, count: int, margin: float = 0.01) -> np.ndarray:
+    """Chebyshev points in [lo, hi], excluding a relative margin at each end."""
+    span = hi - lo
+    lo, hi = lo + margin * span, hi - margin * span
+    j = np.arange(count)
+    x = np.cos((2 * j + 1) * np.pi / (2 * count))
+    return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x
 
 
 def log_sinh(r: np.ndarray) -> np.ndarray:
@@ -111,25 +122,20 @@ def log_sinh(r: np.ndarray) -> np.ndarray:
     return r + np.log1p(-np.exp(-2.0 * r)) - np.log(2.0)
 
 
-def weight_values(weight, r: np.ndarray, series_below: float = 1e-3) -> np.ndarray:
+def weight_values(weight: str, r: np.ndarray) -> np.ndarray:
     """Values of a named singular weight at the nodes.
 
-    Names: "one", "inv_r<2j>" (e.g. "inv_r2", "inv_r4"), "inv_sinh2",
-    "inv_sinh4", "coth2".  A callable is evaluated as-is.
+    Names: "one", "inv_r<p>" (r^-p, e.g. "inv_r2", "inv_r4"), "inv_sinh2",
+    "inv_sinh4".
     """
-    if callable(weight):
-        return np.asarray(weight(r), dtype=float)
     if weight == "one":
         return np.ones_like(r)
     if weight == "inv_sinh2":
         return np.sinh(r) ** -2.0
     if weight == "inv_sinh4":
         return np.sinh(r) ** -4.0
-    if weight == "coth2":
-        return coth(r, series_below) ** 2
-    if isinstance(weight, str) and weight.startswith("inv_r"):
-        power = int(weight[len("inv_r") :])
-        return r ** -float(power)
+    if weight.startswith("inv_r"):
+        return r ** -float(int(weight[len("inv_r") :]))
     raise ValueError(f"unknown weight {weight!r}")
 
 
@@ -147,7 +153,24 @@ def measure_values(measure: str, r: np.ndarray, N: int) -> np.ndarray:
     raise ValueError(f"unknown measure {measure!r}")
 
 
-def converge_terms(fn, spec: QuadratureSpec, r_max: float | None = None):
+def _doubling(fn, spec, build):
+    """The panel-doubling loop behind ``converge_terms`` and its plane analog.
+
+    ``build(refine)`` makes the grid with ``spec.panels * 2**refine`` panels.
+    """
+    prev = fn(build(0))
+    errors = {key: float("inf") for key in prev}
+    for refine in range(1, spec.max_doublings + 1):
+        cur = fn(build(refine))
+        errors = {key: max(abs(cur[key] - prev[key]), float(np.spacing(abs(cur[key])))) for key in cur}
+        prev = cur
+        scale = max((abs(v) for v in cur.values()), default=0.0)
+        if all(e <= spec.rel_tol * scale + spec.abs_tol for e in errors.values()):
+            break
+    return prev, errors
+
+
+def converge_terms(fn, spec: QuadratureSpec, r_max: float):
     """Evaluate a keyed family of integrals under panel doubling.
 
     ``fn(grid)`` returns a dict of floats sharing one integrand pipeline.
@@ -158,46 +181,4 @@ def converge_terms(fn, spec: QuadratureSpec, r_max: float | None = None):
     every change is at most ``rel_tol * max|value| + abs_tol``.  Never raises
     on slow convergence: the errors are the caller's evidence.
     """
-    prev = fn(build_grid(spec, r_max, refine=0))
-    errors = {key: float("inf") for key in prev}
-    for refine in range(1, spec.max_doublings + 1):
-        cur = fn(build_grid(spec, r_max, refine))
-        errors = {key: max(abs(cur[key] - prev[key]), float(np.spacing(abs(cur[key])))) for key in cur}
-        prev = cur
-        scale = max((abs(v) for v in cur.values()), default=0.0)
-        if all(e <= spec.rel_tol * scale + spec.abs_tol for e in errors.values()):
-            break
-    return prev, errors
-
-
-def integrate_weighted(
-    g,
-    N: int,
-    weight="one",
-    spec: QuadratureSpec | None = None,
-    measure: str = "hyperbolic",
-    r_max: float | None = None,
-) -> float:
-    """Converged value of ``int g(r) w(r) mu(r) dr`` on (0, r_max].
-
-    ``g`` is any callable of the node array (test profiles qualify).  The
-    domain comes from ``r_max``, ``spec.r_max``, or ``g.support`` (end + 1),
-    in that order of preference.
-    """
-    spec = spec or QuadratureSpec()
-    if r_max is None and spec.r_max is None:
-        support = getattr(g, "support", None)
-        if support is None:
-            raise QuadratureError("unbounded integrand: pass r_max explicitly")
-        r_max = support[1] + 1.0
-
-    def terms(grid: Grid) -> dict[str, float]:
-        vals = (
-            np.asarray(g(grid.nodes), dtype=float)
-            * weight_values(weight, grid.nodes, spec.series_coth_below)
-            * measure_values(measure, grid.nodes, N)
-        )
-        return {"value": grid.integrate(vals)}
-
-    values, _ = converge_terms(terms, spec, r_max)
-    return values["value"]
+    return _doubling(fn, spec, lambda refine: build_grid(spec, r_max, refine))

@@ -16,6 +16,8 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+import numpy as np
+
 __all__ = [
     "MarginReport",
     "IdentityResidualReport",
@@ -42,6 +44,17 @@ class MarginReport:
     terms: dict[str, float]
     noise: float
     tol: float
+
+    @classmethod
+    def from_integrals(cls, case, function_id, N, vals, errs, coef, tol) -> "MarginReport":
+        """Signed terms ``c * vals[key]`` and noise ``sum |c| * errs[key]`` over ``coef``'s keys.
+
+        ``coef`` maps each term to its exact coefficient: positive for a
+        left-hand term, negative for a right-hand one.
+        """
+        terms = {key: float(c) * vals[key] for key, c in coef.items()}
+        noise = float(sum(abs(float(c)) * errs[key] for key, c in coef.items()))
+        return cls(case=case, function_id=function_id, N=N, terms=terms, noise=noise, tol=tol)
 
     @property
     def margin(self) -> float:
@@ -109,6 +122,24 @@ class IdentityResidualReport:
     max_rel_residual: float
     tol: float
     details: dict[str, float] = field(default_factory=dict)
+
+    @classmethod
+    def from_sides(cls, identity, function_id, N, n, lhs, rhs, tol, details=None) -> "IdentityResidualReport":
+        """Residuals of ``lhs == rhs``, given as scalars or as arrays over sample points."""
+        lhs = np.asarray(lhs, dtype=float)
+        rhs = np.asarray(rhs, dtype=float)
+        max_abs = float(np.max(np.abs(lhs - rhs)))
+        scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
+        return cls(
+            identity=identity,
+            function_id=function_id,
+            N=N,
+            n=n,
+            max_abs_residual=max_abs,
+            max_rel_residual=max_abs / scale if scale > 0 else 0.0,
+            tol=tol,
+            details=dict(details or {}),
+        )
 
     @property
     def verdict(self) -> bool:

@@ -1,12 +1,15 @@
 """Numerical margin certificates for the radial inequalities.
 
-Each margin function evaluates every integral of one inequality on one test
-function, with left-hand terms entering positively and right-hand terms
-negatively, and returns a MarginReport whose verdict demands the margin be
-nonnegative up to tol * scale with quadrature noise below the same gate.
-Noise is estimated from panel doubling, so a report can fail either because
-the inequality is violated or because the integrals cannot be trusted at the
-requested tolerance.
+Each inequality is one table ``{term: (k, weight, coef)}``.  A term is the
+integral of ``|grad^k u|^2 * weight`` over the hyperbolic measure, with
+k = 0 meaning ``u^2`` and ``weight`` a name from ``quadrature.weight_values``;
+``coef`` is its exact coefficient, positive for a left-hand term and negative
+for a right-hand one.  One evaluator converges every integral of a table under
+panel doubling and returns a MarginReport whose verdict demands the margin be
+nonnegative up to tol * scale with quadrature noise below the same gate.  A
+report can therefore fail either because the inequality is violated or
+because the integrals cannot be trusted at the requested tolerance.  A new
+inequality is one more table.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from .constants import (
 from .errors import HypothesisError
 from .profiles import Bump, Cutoff, RadialProfile
 from .operators import gradk_sq_values, radial_table
-from .quadrature import QuadratureSpec, converge_terms, log_sinh, measure_values
+from .quadrature import QuadratureSpec, converge_terms, log_sinh, measure_values, weight_values
 from .reports import MarginReport
 
 __all__ = [
@@ -44,68 +47,59 @@ def _support_r_max(u: RadialProfile) -> float:
     return u.support[1] + 1.0
 
 
-def _assemble(case, u, N, vals, errs, coef, tol) -> MarginReport:
-    signed = {name: float(c) * vals[name] for name, c in coef.items()}
-    noise = float(sum(abs(float(c)) * errs[name] for name, c in coef.items()))
-    return MarginReport(case=case, function_id=u.id, N=N, terms=signed, noise=noise, tol=tol)
+def _inv_r(power: int) -> str:
+    return "one" if power == 0 else f"inv_r{power}"
 
 
-def _raw_terms(u, N, spec, r_max, levels, needs):
-    """Converged raw integrals named by (laplacian level or weight) keys."""
+def _integrals(u, N, spec, integrands):
+    """Converged ``{term: int |grad^k u|^2 * weight dV}`` for ``integrands = {term: (k, weight)}``."""
+    r_max = _support_r_max(u)
+    levels = max(k for k, _ in integrands.values()) // 2
 
     def fn(grid):
         table = radial_table(u, N, spec, r_max, grid.refine, levels)
-        r = grid.nodes
-        mu = measure_values("hyperbolic", r, N)
+        mu = measure_values("hyperbolic", grid.nodes, N)
         out = {}
-        for key, (kind, arg) in needs.items():
-            if kind == "gradk":
-                values = gradk_sq_values(table, arg) * mu
-            elif kind == "u2w":
-                u2 = table.values(0) ** 2
-                values = u2 * mu if arg == 0 else u2 * _inv_weight(arg, r) * mu
-            elif kind == "lap2w":
-                values = table.values(1) ** 2 * _inv_weight(arg, r) * mu
-            else:
-                raise ValueError(f"unknown raw term kind {kind!r}")
-            out[key] = grid.integrate(values)
+        for key, (k, weight) in integrands.items():
+            values = gradk_sq_values(table, k)
+            if weight != "one":  # no ones array: it would raise peak memory for nothing
+                values = values * weight_values(weight, grid.nodes)
+            out[key] = grid.integrate(values * mu)
         return out
 
     return converge_terms(fn, spec, r_max)
 
 
-def _inv_weight(arg, r):
-    if isinstance(arg, str):
-        if arg == "sinh2":
-            return np.sinh(r) ** -2.0
-        if arg == "sinh4":
-            return np.sinh(r) ** -4.0
-        raise ValueError(f"unknown weight {arg!r}")
-    return r ** -float(arg)
+def _margin(case, u, N, table, spec, tol) -> MarginReport:
+    """Evaluate one inequality table ``{term: (k, weight, coef)}`` on u."""
+    vals, errs = _integrals(u, N, spec or QuadratureSpec(), {key: (k, w) for key, (k, w, _) in table.items()})
+    coef = {key: c for key, (_, _, c) in table.items()}
+    return MarginReport.from_integrals(case, u.id, N, vals, errs, coef, tol)
 
 
 def margin_poincare_hardy(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
     """int |grad u|^2 >= ((N-1)/2)^2 int u^2 + (1/4) int u^2/r^2, hyperbolic measure."""
     if N <= 2:
         raise HypothesisError(f"requires N > 2, got N={N}")
-    spec = spec or QuadratureSpec()
-    r_max = _support_r_max(u)
-    needs = {"grad": ("gradk", 1), "poincare": ("u2w", 0), "r2": ("u2w", 2)}
-    vals, errs = _raw_terms(u, N, spec, r_max, 0, needs)
-    coef = {"grad": 1, "poincare": -F(N - 1, 2) ** 2, "r2": -F(1, 4)}
-    return _assemble("poincare", u, N, vals, errs, coef, tol)
+    table = {
+        "grad": (1, "one", 1),
+        "poincare": (0, "one", -F(N - 1, 2) ** 2),
+        "r2": (0, "inv_r2", -F(1, 4)),
+    }
+    return _margin("poincare", u, N, table, spec, tol)
 
 
 def margin_rellich(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
     """int (Lap u)^2 >= ((N-1)/2)^4 int u^2 + ((N-1)^2/8) int u^2/r^2 + (9/16) int u^2/r^4."""
     if N <= 4:
         raise HypothesisError(f"requires N > 4, got N={N}")
-    spec = spec or QuadratureSpec()
-    r_max = _support_r_max(u)
-    needs = {"lap2": ("gradk", 2), "poincare": ("u2w", 0), "r2": ("u2w", 2), "r4": ("u2w", 4)}
-    vals, errs = _raw_terms(u, N, spec, r_max, 1, needs)
-    coef = {"lap2": 1, "poincare": -F(N - 1, 2) ** 4, "r2": -F((N - 1) ** 2, 8), "r4": -F(9, 16)}
-    return _assemble("rellich", u, N, vals, errs, coef, tol)
+    table = {
+        "lap2": (2, "one", 1),
+        "poincare": (0, "one", -F(N - 1, 2) ** 4),
+        "r2": (0, "inv_r2", -F((N - 1) ** 2, 8)),
+        "r4": (0, "inv_r4", -F(9, 16)),
+    }
+    return _margin("rellich", u, N, table, spec, tol)
 
 
 def margin_thm21(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
@@ -114,43 +108,28 @@ def margin_thm21(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, t
     int (Lap u)^2 >= ((N-1)/2)^2 int |grad u|^2 + c_r2 int u^2/r^2
     + c_r4 int u^2/r^4 + c_sinh2 int u^2/sinh^2 + c_sinh4 int u^2/sinh^4.
     """
-    consts = thm21_constants(N)
-    spec = spec or QuadratureSpec()
-    r_max = _support_r_max(u)
-    needs = {
-        "lap2": ("gradk", 2),
-        "grad": ("gradk", 1),
-        "r2": ("u2w", 2),
-        "r4": ("u2w", 4),
-        "sinh2": ("u2w", "sinh2"),
-        "sinh4": ("u2w", "sinh4"),
+    c = thm21_constants(N)
+    table = {
+        "lap2": (2, "one", 1),
+        "grad": (1, "one", -F(N - 1, 2) ** 2),
+        "r2": (0, "inv_r2", -c["c_r2"]),
+        "r4": (0, "inv_r4", -c["c_r4"]),
+        "sinh2": (0, "inv_sinh2", -c["c_sinh2"]),
+        "sinh4": (0, "inv_sinh4", -c["c_sinh4"]),
     }
-    vals, errs = _raw_terms(u, N, spec, r_max, 1, needs)
-    coef = {
-        "lap2": 1,
-        "grad": -F(N - 1, 2) ** 2,
-        "r2": -consts["c_r2"],
-        "r4": -consts["c_r4"],
-        "sinh2": -consts["c_sinh2"],
-        "sinh4": -consts["c_sinh4"],
-    }
-    return _assemble("thm21", u, N, vals, errs, coef, tol)
+    return _margin("thm21", u, N, table, spec, tol)
 
 
 def margin_yang(u: RadialProfile, N: int, beta: int = 0, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
     """The fourth-order weighted step: int (Lap u)^2/r^beta against its three remainders."""
     w = yang_constants(beta, N)
-    spec = spec or QuadratureSpec()
-    r_max = _support_r_max(u)
-    needs = {
-        "lap2_rb": ("lap2w", beta),
-        "rb4": ("u2w", beta + 4),
-        "rb2": ("u2w", beta + 2),
-        "rb0": ("u2w", beta),
+    table = {
+        "lap2_rb": (2, _inv_r(beta), 1),
+        "rb4": (0, _inv_r(beta + 4), -w["w4"]),
+        "rb2": (0, _inv_r(beta + 2), -w["w2"]),
+        "rb0": (0, _inv_r(beta), -w["w0"]),
     }
-    vals, errs = _raw_terms(u, N, spec, r_max, 1, needs)
-    coef = {"lap2_rb": 1, "rb4": -w["w4"], "rb2": -w["w2"], "rb0": -w["w0"]}
-    return _assemble(f"yang_b{beta}", u, N, vals, errs, coef, tol)
+    return _margin(f"yang_b{beta}", u, N, table, spec, tol)
 
 
 def margin_general(case: CaseSpec, u: RadialProfile, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
@@ -161,17 +140,10 @@ def margin_general(case: CaseSpec, u: RadialProfile, spec: QuadratureSpec | None
     """
     if case.k > 4:
         raise ValueError("numerical margins support k <= 4; exact constants have no such cap")
-    spec = spec or QuadratureSpec()
-    r_max = _support_r_max(u)
-    chain = chain_replay(case)
-    needs = {"gradk": ("gradk", case.k), "gradl": ("gradk", case.l)}
-    for i in range(1, case.k + 1):
-        needs[f"r{2 * i}"] = ("u2w", 2 * i)
-    vals, errs = _raw_terms(u, case.N, spec, r_max, case.k // 2, needs)
-    coef = {"gradk": 1, "gradl": -poincare_constant(case)}
-    for i, c in enumerate(chain, start=1):
-        coef[f"r{2 * i}"] = -c
-    return _assemble(f"general_k{case.k}_l{case.l}", u, case.N, vals, errs, coef, tol)
+    table = {"gradk": (case.k, "one", 1), "gradl": (case.l, "one", -poincare_constant(case))}
+    for i, c in enumerate(chain_replay(case), start=1):
+        table[f"r{2 * i}"] = (0, _inv_r(2 * i), -c)
+    return _margin(f"general_k{case.k}_l{case.l}", u, case.N, table, spec, tol)
 
 
 _SHARPNESS_RATES = (1.25, 1.15, 1.08, 1.04, 1.02, 1.008, 1.001)
@@ -222,12 +194,10 @@ def sharpness_probe(case: str, N: int = 5, params=None, spec: QuadratureSpec | N
         centers = params if params is not None else list(_SHARPNESS_CENTERS)
         target = float(F((N - 1) ** 2, 16))
         pc = float(F(N - 1, 2) ** 2)
+        integrands = {"lap2": (2, "one"), "grad": (1, "one"), "r2": (0, "inv_r2")}
         rows = []
         for c in centers:
-            u = Bump(float(c), 1.0)
-            r_max = _support_r_max(u)
-            needs = {"lap2": ("gradk", 2), "grad": ("gradk", 1), "r2": ("u2w", 2)}
-            vals, _ = _raw_terms(u, N, spec, r_max, 1, needs)
+            vals, _ = _integrals(Bump(float(c), 1.0), N, spec, integrands)
             rows.append({"param": float(c), "quotient": (vals["lap2"] - pc * vals["grad"]) / (target * vals["r2"])})
         return rows
     raise ValueError(f"unknown sharpness case {case!r}")

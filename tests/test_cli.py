@@ -55,6 +55,42 @@ def test_usage_error_exits_64(capsys):
     assert exc.value.code == 64
 
 
+def test_rmax_is_rejected(capsys):
+    # truncating the domain below a support end would certify a different integral
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--case", "poincare", "--N", "5", "--rmax", "1.5"])
+    assert exc.value.code == 64
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--case", "poincare", "--N", "5", "--doublings", "0"],  # noise is inf
+        ["halfspace", "--which", "pf1", "--alpha", "1e308"],  # a residual is nan
+    ],
+)
+def test_nonfinite_json_exits_2(argv, capsys):
+    code, out, err = run(argv + ["--format", "json"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["halfspace", "--which", "rellich1", "--panels", "0"],
+        ["halfspace", "--which", "rellich1", "--doublings", "-1"],
+        ["verify", "--case", "poincare", "--N", "5", "--doublings", "-1"],
+    ],
+)
+def test_bad_quadrature_spec_exits_2(argv, capsys):
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure:")
+
+
 def test_verify_passes_and_counts(capsys):
     code, out, _ = run(["verify", "--case", "poincare", "--N", "5"], capsys)
     assert code == 0

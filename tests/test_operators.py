@@ -4,17 +4,16 @@ import numpy as np
 import pytest
 
 from poincare_hardy import Bump, ExpDecay, QuadratureSpec
+from poincare_hardy.jets import coth_jet
 from poincare_hardy.operators import (
-    grad_norm_sq,
+    RadialTable,
     gradk_sq_values,
-    iterated_laplace,
-    iterated_laplace_jet,
+    laplace_of_jet,
     laplace_radial,
-    mode_operator,
     radial_table,
     to_v_transform,
 )
-from poincare_hardy.quadrature import build_grid
+from poincare_hardy.quadrature import Grid, build_grid
 
 from _oracles import central_diff
 
@@ -38,35 +37,26 @@ def test_laplace_matches_difference_quotients():
     assert np.max(np.abs(got - want)) / np.max(np.abs(got)) < 1e-7
 
 
+def _points(r):
+    """A Grid holding just the sample points, for building a RadialTable on them."""
+    return Grid(r, np.ones_like(r), float(r[-1]), 0)
+
+
 def test_iterated_laplace_composes():
     u, N = Bump(2.0, 1.0, 1), 5
     r = np.linspace(1.2, 2.8, 9)
     once = laplace_radial(u, N, r, order=2)
-    twice_direct = iterated_laplace(u, N, 2, r)
+    twice_tower = RadialTable(u, N, _points(r), 2).values(2)
     # apply the Laplacian to the jet of Lap u by the same closed form
-    from poincare_hardy.operators import coth_jet_at, laplace_of_jet
-
-    twice_composed = laplace_of_jet(once, coth_jet_at(r, 2), N).value()
-    np.testing.assert_allclose(twice_direct, twice_composed, rtol=1e-12)
+    twice_composed = laplace_of_jet(once, coth_jet(r, 2), N).value()
+    np.testing.assert_allclose(twice_tower, twice_composed, rtol=1e-12)
 
 
 def test_grad_norm_sq():
     u = Bump(2.0, 1.0, 0)
     r = np.linspace(1.2, 2.8, 9)
-    np.testing.assert_allclose(grad_norm_sq(u, r), u.jet(r, 1).derivative(1) ** 2, rtol=1e-15)
-
-
-def test_mode_operator_small_r_finite():
-    u, N = Bump(0.5, 0.5, 0), 5
-    r = np.array([1e-5, 1e-3, 0.1, 0.4])
-    vals = mode_operator(u, 2, N, r)
-    assert np.all(np.isfinite(vals))
-
-
-def test_mode_operator_n0_is_laplacian():
-    u, N = Bump(2.0, 1.0, 0), 5
-    r = np.linspace(1.2, 2.8, 9)
-    np.testing.assert_allclose(mode_operator(u, 0, N, r), laplace_radial(u, N, r).value(), rtol=1e-12)
+    got = gradk_sq_values(RadialTable(u, 5, _points(r), 0), 1)
+    np.testing.assert_allclose(got, u.jet(r, 1).derivative(1) ** 2, rtol=1e-15)
 
 
 def test_to_v_transform_values_and_derivative():
@@ -85,13 +75,13 @@ def test_gradk_sq_parity_dispatch():
     table = radial_table(u, N, spec, 4.0, 0, 2)
     r = table.grid.nodes
     np.testing.assert_allclose(gradk_sq_values(table, 0), u(r) ** 2, rtol=1e-13)
-    np.testing.assert_allclose(gradk_sq_values(table, 1), grad_norm_sq(u, r), rtol=1e-13)
+    np.testing.assert_allclose(gradk_sq_values(table, 1), u.jet(r, 1).derivative(1) ** 2, rtol=1e-13)
     np.testing.assert_allclose(
         gradk_sq_values(table, 2), laplace_radial(u, N, r).value() ** 2, rtol=1e-12
     )
     np.testing.assert_allclose(
         gradk_sq_values(table, 3),
-        iterated_laplace_jet(u, N, 1, r, order=1).derivative(1) ** 2,
+        laplace_radial(u, N, r, order=1).derivative(1) ** 2,
         rtol=1e-12,
     )
     with pytest.raises(ValueError):
@@ -110,7 +100,10 @@ def test_radial_table_is_cached():
 def test_radial_table_levels_requested():
     u = Bump(2.0, 1.0, 0)
     grid = build_grid(QuadratureSpec(), 4.0)
-    from poincare_hardy.operators import RadialTable
-
     table = RadialTable(u, 5, grid, 2)
-    np.testing.assert_allclose(table.values(2), iterated_laplace(u, 5, 2, grid.nodes), rtol=1e-11)
+    assert table.levels == 2
+    r = grid.nodes
+    want = laplace_of_jet(laplace_radial(u, 5, r, order=2), coth_jet(r, 2), 5).value()
+    np.testing.assert_allclose(table.values(2), want, rtol=1e-11)
+    # a deeper tower agrees on the shared levels
+    np.testing.assert_allclose(RadialTable(u, 5, grid, 3).values(2), table.values(2), rtol=1e-11)
