@@ -77,7 +77,8 @@ def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
     r_max = d.support[1] + 1.0
 
     def terms(grid):
-        r = grid.nodes
+        span = grid.span(d.support)
+        r = grid.nodes[span]
         w = to_v_transform(d, N, r, 2)
         v, dv, ddv = w.value(), w.derivative(1), w.derivative(2)
         c = coth(r)
@@ -99,7 +100,7 @@ def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
             "c2_v2_s2": c**2 * v**2 * inv_s2,
             "c4_v2": c**4 * v**2,
         }
-        return {key: grid.integrate(val) for key, val in raw.items()}
+        return {key: grid.integrate(val, span) for key, val in raw.items()}
 
     return converge_terms(terms, spec, r_max)
 
@@ -214,7 +215,8 @@ def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: f
     r_max = u.support[1] + 1.0
 
     def terms(grid):
-        r = grid.nodes
+        span = grid.span(u.support)
+        r = grid.nodes[span]
         jet = u.jet(r, 2)
         v, dv, ddv = jet.value(), jet.derivative(1), jet.derivative(2)
         inv_s2 = np.sinh(r) ** -2.0
@@ -227,7 +229,7 @@ def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: f
             "lap2": ddv**2,
             "r4": v**2 * r**-4.0,
         }
-        return {key: grid.integrate(val) for key, val in raw.items()}
+        return {key: grid.integrate(val, span) for key, val in raw.items()}
 
     vals, errs = converge_terms(terms, spec, r_max)
     return [MarginReport.from_integrals(case, u.id, None, vals, errs, coef, tol) for case, coef in _LEMMAS.items()]

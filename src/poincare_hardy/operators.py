@@ -4,7 +4,10 @@ For a radial function u(r) in geodesic polar coordinates the Laplacian is
 u'' + (N-1) coth(r) u'; iterating it and taking one more derivative covers
 every |grad^k u|^2 integrand: (Lap^m u)^2 for k = 2m and ((Lap^m u)')^2 for
 k = 2m+1.  ``RadialTable`` evaluates the whole tower once per test function
-and grid so the verifier's many integrals share one pipeline.
+and grid so the verifier's many integrals share one pipeline.  It does so only
+on the nodes strictly inside the support (``Grid.span``): outside it every
+jet coefficient of the profile is exactly 0, so is every level of the tower,
+and the table's arrays cover ``grid.nodes[table.span]`` alone.
 """
 
 from __future__ import annotations
@@ -51,11 +54,12 @@ def to_v_transform(u: RadialProfile, N: int, r: np.ndarray, order: int) -> Jet:
 
 
 class RadialTable:
-    """Values and first derivatives of u, Lap u, ..., Lap^levels u on a grid."""
+    """Values and first derivatives of u, Lap u, ..., Lap^levels u on the grid nodes in ``span``."""
 
     def __init__(self, u: RadialProfile, N: int, grid: Grid, levels: int):
         order = 2 * levels + 2
-        r = grid.nodes
+        self.span = grid.span(u.support)
+        r = grid.nodes[self.span]
         cj = coth_jet(r, order)
         tower = [u.jet(r, order)]
         for _ in range(levels):
@@ -67,16 +71,16 @@ class RadialTable:
         self._tower = tower
 
     def values(self, level: int) -> np.ndarray:
-        """Lap^level u at the nodes."""
+        """Lap^level u at the nodes in ``span``."""
         return self._tower[level].value()
 
     def deriv(self, level: int) -> np.ndarray:
-        """(Lap^level u)' at the nodes."""
+        """(Lap^level u)' at the nodes in ``span``."""
         return self._tower[level].derivative(1)
 
 
 def gradk_sq_values(table: RadialTable, k: int) -> np.ndarray:
-    """|grad^k u|^2 at the nodes: (Lap^m u)^2 for k = 2m, ((Lap^m u)')^2 for k = 2m+1."""
+    """|grad^k u|^2 at the table's nodes: (Lap^m u)^2 for k = 2m, ((Lap^m u)')^2 for k = 2m+1."""
     m, odd = divmod(k, 2)
     if m > table.levels:
         raise ValueError(f"table holds {table.levels} Laplacian levels, order {k} needs {m}")

@@ -224,6 +224,11 @@ class Product(RadialProfile):
 
     factors: tuple[RadialProfile, ...]
 
+    def __post_init__(self):
+        support = self.support
+        if support is not None and not support[0] < support[1]:
+            raise ValueError(f"product of {self.id} has an empty support {support}")
+
     @property
     def support(self):
         bounded = [f.support for f in self.factors if f.support is not None]

@@ -8,6 +8,13 @@ geometrically toward the origin so the 1/r^{2j} weights meet enough nodes
 where they are large; convergence is certified by doubling the panel count
 and comparing.  The panel rule, the doubling loop, the spec checks and the
 Chebyshev sampler here are shared with the half-space tensor grid.
+
+A compactly supported ``g`` is zero on most of the grid, so callers evaluate
+it only on the contiguous run of nodes strictly inside its support
+(``Grid.span``).  ``Grid.integrate`` scatters those values back into a
+full-length array before the dot product: the sum then runs over every
+weight in the same order as a full-grid evaluation and is equal to it bit for
+bit, where a dot product over the run alone can differ in the last bits.
 """
 
 from __future__ import annotations
@@ -71,8 +78,22 @@ class Grid:
         self.r_max = r_max
         self.refine = refine
 
-    def integrate(self, values: np.ndarray) -> float:
-        return float(np.dot(values, self.weights))
+    def span(self, support: tuple[float, float] | None) -> slice:
+        """The nodes strictly inside ``support``, as a slice; every node when it is None.
+
+        The nodes ascend, so the nodes inside any interval are one contiguous run.
+        """
+        if support is None:
+            return slice(None)
+        lo, hi = support
+        start = int(np.searchsorted(self.nodes, lo, side="right"))
+        return slice(start, int(np.searchsorted(self.nodes, hi, side="left")))
+
+    def integrate(self, values: np.ndarray, span: slice = slice(None)) -> float:
+        """Weighted sum of ``values`` given on the nodes ``span``; every other node counts as 0."""
+        full = np.zeros_like(self.weights)
+        full[span] = values
+        return float(np.dot(full, self.weights))
 
 
 @functools.lru_cache(maxsize=None)
@@ -146,8 +167,8 @@ def measure_values(measure: str, r: np.ndarray, N: int) -> np.ndarray:
     if measure == "hyperbolic":
         if (N - 1) * float(np.max(r, initial=0.0)) > 690.0:
             raise QuadratureError(
-                f"sinh^{N - 1} overflows double precision on a domain reaching "
-                f"r = {float(np.max(r)):g}; reduce r_max"
+                f"sinh^{N - 1} overflows double precision at r = {float(np.max(r)):g}; "
+                "use a smaller support or dimension"
             )
         return np.sinh(r) ** (N - 1)
     raise ValueError(f"unknown measure {measure!r}")

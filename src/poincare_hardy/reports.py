@@ -50,8 +50,12 @@ class MarginReport:
         """Signed terms ``c * vals[key]`` and noise ``sum |c| * errs[key]`` over ``coef``'s keys.
 
         ``coef`` maps each term to its exact coefficient: positive for a
-        left-hand term, negative for a right-hand one.
+        left-hand term, negative for a right-hand one.  Raises ValueError
+        when every integral is exactly 0: the test function vanishes on the
+        whole grid, and a margin of 0 at scale 0 certifies nothing.
         """
+        if all(vals[key] == 0.0 for key in coef):
+            raise ValueError(f"{case}: every term integral of {function_id} is 0; it vanishes on the quadrature grid")
         terms = {key: float(c) * vals[key] for key, c in coef.items()}
         noise = float(sum(abs(float(c)) * errs[key] for key, c in coef.items()))
         return cls(case=case, function_id=function_id, N=N, terms=terms, noise=noise, tol=tol)

@@ -58,13 +58,14 @@ def _integrals(u, N, spec, integrands):
 
     def fn(grid):
         table = radial_table(u, N, spec, r_max, grid.refine, levels)
-        mu = measure_values("hyperbolic", grid.nodes, N)
+        r = grid.nodes[table.span]
+        mu = measure_values("hyperbolic", r, N)
         out = {}
         for key, (k, weight) in integrands.items():
             values = gradk_sq_values(table, k)
             if weight != "one":  # no ones array: it would raise peak memory for nothing
-                values = values * weight_values(weight, grid.nodes)
-            out[key] = grid.integrate(values * mu)
+                values = values * weight_values(weight, r)
+            out[key] = grid.integrate(values * mu, table.span)
         return out
 
     return converge_terms(fn, spec, r_max)

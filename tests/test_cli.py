@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from poincare_hardy import Bump, cli
 from poincare_hardy.cli import main
 from poincare_hardy.reports import MarginReport
 
@@ -74,6 +75,24 @@ def test_nonfinite_json_exits_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("numerical failure:") and "Traceback" not in err
+
+
+def test_measure_overflow_exits_2(capsys):
+    # sinh^159 overflows past r = 690/159 = 4.34; the suite's bump_c3.5_w1.0
+    # reaches 4.5, and only nodes inside a support are evaluated
+    code, out, err = run(["verify", "--case", "poincare", "--N", "160"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure:") and "overflows" in err
+
+
+def test_zero_function_exits_64(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "load_suite", lambda name: (Bump(1.0, 1e-13),))
+    for argv in (["verify", "--case", "poincare", "--N", "5"], ["verify", "--case", "hardy1d"]):
+        code, out, err = run(argv, capsys)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error:") and "vanishes" in err
 
 
 @pytest.mark.parametrize(

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from poincare_hardy import Bump, ExpDecay, QuadratureSpec
+from poincare_hardy import Bump, Cutoff, ExpDecay, Product, QuadratureSpec, Scaled, SmoothWindow, load_suite
 from poincare_hardy.jets import coth_jet
 from poincare_hardy.operators import (
     RadialTable,
@@ -73,7 +73,7 @@ def test_gradk_sq_parity_dispatch():
     u, N = Bump(2.0, 1.0, 0), 5
     spec = QuadratureSpec()
     table = radial_table(u, N, spec, 4.0, 0, 2)
-    r = table.grid.nodes
+    r = table.grid.nodes[table.span]
     np.testing.assert_allclose(gradk_sq_values(table, 0), u(r) ** 2, rtol=1e-13)
     np.testing.assert_allclose(gradk_sq_values(table, 1), u.jet(r, 1).derivative(1) ** 2, rtol=1e-13)
     np.testing.assert_allclose(
@@ -102,8 +102,50 @@ def test_radial_table_levels_requested():
     grid = build_grid(QuadratureSpec(), 4.0)
     table = RadialTable(u, 5, grid, 2)
     assert table.levels == 2
-    r = grid.nodes
+    r = grid.nodes[table.span]
     want = laplace_of_jet(laplace_radial(u, 5, r, order=2), coth_jet(r, 2), 5).value()
     np.testing.assert_allclose(table.values(2), want, rtol=1e-11)
     # a deeper tower agrees on the shared levels
     np.testing.assert_allclose(RadialTable(u, 5, grid, 3).values(2), table.values(2), rtol=1e-11)
+
+
+# every profile kind; Bump powers 0-3, and one Bump whose support reaches r = 0
+_SUPPORTED = [
+    *(Bump(2.0, 1.0, p) for p in range(4)),
+    Bump(0.5, 1.0, 1),
+    SmoothWindow(1.0, 3.0, 0.5),
+    Cutoff(1.0, 2.5),
+    Scaled(Bump(1.5, 0.7, 2), -3.0),
+    Product((Bump(2.0, 1.0, 0), Cutoff(2.0, 2.5))),
+]
+
+
+@pytest.mark.parametrize("u", _SUPPORTED, ids=lambda u: u.id)
+def test_jet_vanishes_outside_open_support(u):
+    # RadialTable and the integrals evaluate jets only on Grid.span(u.support):
+    # that is exact only if every coefficient is 0.0 at the nodes outside it
+    lo, hi = u.support
+    edges = [hi] + ([lo] if lo > 0 else [])  # the domain is r > 0: no node lies at or below 0
+    points = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + edges
+    grid = build_grid(QuadratureSpec(panels=8, nodes_per_panel=16), hi + 1.0)
+    outside = np.ones(grid.nodes.size, dtype=bool)
+    outside[grid.span(u.support)] = False
+    assert outside.any()
+    r = np.concatenate([points, grid.nodes[outside]])
+    assert np.all(u.jet(r, 6).coef == 0.0)
+
+
+@pytest.mark.parametrize("refine", [0, 2])
+@pytest.mark.parametrize("u", [load_suite("standard")[-1], load_suite("origin")[-1]], ids=lambda u: u.id)
+def test_radial_table_on_span_equals_full_grid_tower(u, refine):
+    N = 7
+    grid = build_grid(QuadratureSpec(), u.support[1] + 1.0, refine)
+    table = RadialTable(u, N, grid, 2)
+    r = grid.nodes
+    cj = coth_jet(r, 6)
+    full = [u.jet(r, 6)]
+    for _ in range(2):
+        full.append(laplace_of_jet(full[-1], cj, N))
+    for level, jet in enumerate(full):
+        assert np.array_equal(table.values(level), jet.value()[table.span])
+        assert np.array_equal(table.deriv(level), jet.derivative(1)[table.span])

@@ -27,6 +27,30 @@ def test_grid_layout():
     assert grid.nodes[spec.nodes_per_panel - 1] < 5.0 * spec.min_break_fraction * 1.01
 
 
+def test_grid_span_is_strictly_inside_support():
+    grid = build_grid(QuadratureSpec(panels=16, nodes_per_panel=8), r_max=5.0)
+    r = grid.nodes
+    # supports whose edges sit exactly on nodes leave those nodes out
+    assert grid.span((r[10], r[20])) == slice(11, 20)
+    span = grid.span((1.0, 3.0))
+    inside = (r > 1.0) & (r < 3.0)
+    assert np.array_equal(np.arange(r.size)[span], np.flatnonzero(inside))
+    assert grid.span(None) == slice(None)
+    assert r[grid.span((5.5, 6.0))].size == 0
+
+
+def test_integrate_on_span_equals_full_grid():
+    u = Bump(2.5, 0.5, 1)
+    for refine in (0, 1, 2):
+        grid = build_grid(QuadratureSpec(), u.support[1] + 1.0, refine)
+        span = grid.span(u.support)
+        r = grid.nodes
+        full = u(r) ** 2 * np.sinh(r) ** 4
+        assert np.all(full[: span.start] == 0.0) and np.all(full[span.stop :] == 0.0)
+        # bit for bit: a dot product over the span alone can differ in the last bits
+        assert grid.integrate(full[span], span) == grid.integrate(full)
+
+
 def test_grid_requires_domain():
     with pytest.raises(TypeError):
         build_grid(QuadratureSpec())

@@ -84,6 +84,15 @@ def test_scaled_and_product():
     np.testing.assert_allclose(p(r), base(r) * Cutoff(2.0, 4.0)(r), rtol=1e-14)
 
 
+def test_product_with_empty_support_is_rejected():
+    # the identity checks would sample the reversed interval (2.8, 1.2), where
+    # both sides vanish, and pass with residual 0
+    for factors in ((Bump(1.0, 0.2), Bump(3.0, 0.2)), (Bump(1.0, 1.0), Bump(3.0, 1.0))):
+        with pytest.raises(ValueError, match="empty support"):
+            Product(factors)
+    assert Product((ExpDecay(1.0), ExpDecay(2.0))).support is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(0.0, 4.0),

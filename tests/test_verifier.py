@@ -33,6 +33,12 @@ def test_margin_report_contents():
     assert r.noise < 1e-8 * r.scale
 
 
+def test_zero_function_is_rejected():
+    # the support falls between two nodes, so every integral is exactly 0
+    with pytest.raises(ValueError, match="vanishes"):
+        margin_poincare_hardy(Bump(1.0, 1e-13), 5)
+
+
 def test_margins_positive_across_cases():
     u = Bump(1.5, 0.5, 1)
     for N in (5, 8):
