@@ -332,10 +332,7 @@ def main(argv=None) -> int:
     try:
         payload, rows, text, code = _HANDLERS[args.command](args)
         content = _render(args, payload, rows, text)
-    except HypothesisError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 64
-    except ValueError as exc:
+    except ValueError as exc:  # HypothesisError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 64
     except InternalConsistencyError as exc:

@@ -191,30 +191,20 @@ def thm21_constants(N: int) -> dict[str, Fraction]:
 
 
 def _chain_l0(k: int, N: int) -> tuple[Fraction, ...]:
-    if k == 1:
-        return (F(1, 4),)
+    """The chain for even k and l = 0."""
     if k == 2:
         return (F((N - 1) ** 2, 8), F(9, 16))
+    # split off one Laplacian: the order-(k-2) chain applied to Lap u, plus
+    # the Poincare cascade of the second-order remainders
     out: dict[int, Fraction] = defaultdict(F)
-    if k % 2 == 0:
-        # split off one Laplacian: the order-(k-2) chain applied to Lap u,
-        # plus the Poincare cascade of the second-order remainders
-        prev = _chain_l0(k - 2, N)
-        cascade = F(N - 1, 2) ** (2 * (k - 2))
-        out[1] += cascade * F((N - 1) ** 2, 8)
-        out[2] += cascade * F(9, 16)
-        for i, ci in enumerate(prev, start=1):
-            w0, w2, w4 = _yang_weights(2 * i, N)
-            out[i] += ci * w0
-            out[i + 1] += ci * w2
-            out[i + 2] += ci * w4
-    else:
-        m = (k - 1) // 2
-        inner = _chain_l0(k - 1, N)
-        for i, ci in enumerate(inner, start=1):
-            out[i] += F(N - 1, 2) ** 2 * ci
-        for p, ep in enumerate(yang_extended(m, 2, N)):
-            out[1 + p] += F(1, 4) * ep
+    cascade = F(N - 1, 2) ** (2 * (k - 2))
+    out[1] += cascade * F((N - 1) ** 2, 8)
+    out[2] += cascade * F(9, 16)
+    for i, ci in enumerate(_chain_l0(k - 2, N), start=1):
+        w0, w2, w4 = _yang_weights(2 * i, N)
+        out[i] += ci * w0
+        out[i + 1] += ci * w2
+        out[i + 2] += ci * w4
     return tuple(out[q] for q in range(1, k + 1))
 
 
@@ -235,50 +225,43 @@ def _chain_eo(m: int, h: int, N: int) -> tuple[Fraction, ...]:
     for p, ep in enumerate(yang_extended(h, 4, N)):
         out[2 + p] += drop * F(9, 16) * ep
     if h < m - 1:
-        base = _chain_l0(2 * (m - h - 1), N)
-        for i, ci in enumerate(base, start=1):
-            for p, ep in enumerate(yang_extended(h + 1, 2 * i, N)):
-                out[i + p] += ci * ep
+        for i, ci in enumerate(_chain_ee(m, h + 1, N), start=1):
+            out[i] += ci
     return tuple(out[q] for q in range(1, 2 * m + 1))
 
 
-def _chain_oe(m: int, h: int, N: int) -> tuple[Fraction, ...]:
+def _chain_odd(k: int, l: int, N: int) -> tuple[Fraction, ...]:
+    """Odd k = 2m+1: the first-order step on Lap^m u peels one gradient.
+
+    ((N-1)/2)^2 times the order-(k-1) chain (absent when l = k-1), plus the
+    1-D Hardy constant 1/4 on (Lap^m u)^2/r^2, expanded by yang_extended.
+    """
     out: dict[int, Fraction] = defaultdict(F)
-    if h < m:
-        for i, ci in enumerate(_chain_ee(m, h, N), start=1):
+    if l < k - 1:
+        for i, ci in enumerate(_chain(k - 1, l, N), start=1):
             out[i] += F(N - 1, 2) ** 2 * ci
-    for p, ep in enumerate(yang_extended(m, 2, N)):
+    for p, ep in enumerate(yang_extended(k // 2, 2, N)):
         out[1 + p] += F(1, 4) * ep
-    return tuple(out[q] for q in range(1, 2 * m + 2))
+    return tuple(out[q] for q in range(1, k + 1))
 
 
-def _chain_oo(m: int, h: int, N: int) -> tuple[Fraction, ...]:
-    out: dict[int, Fraction] = defaultdict(F)
-    for i, ci in enumerate(_chain_eo(m, h, N), start=1):
-        out[i] += F(N - 1, 2) ** 2 * ci
-    for p, ep in enumerate(yang_extended(m, 2, N)):
-        out[1 + p] += F(1, 4) * ep
-    return tuple(out[q] for q in range(1, 2 * m + 2))
+def _chain(k: int, l: int, N: int) -> tuple[Fraction, ...]:
+    if k % 2:
+        return _chain_odd(k, l, N)
+    # _chain_ee(m, 0) is the l = 0 chain itself: yang_extended(0, .) is (1,)
+    return (_chain_eo if l % 2 else _chain_ee)(k // 2, l // 2, N)
 
 
 def chain_replay(case: CaseSpec) -> tuple[Fraction, ...]:
     """The k remainder constants alpha^1..alpha^k, alpha^i on u^2/r^{2i}.
 
-    Replays the proof chain for the case's parity class by composing the
-    fourth-order weighted step, the second-order steps, and the Poincare
-    cascade; exact rational arithmetic throughout.
+    Replays the proof chain by composing the fourth-order weighted step, the
+    second-order steps and the Poincare cascade; an odd order peels one
+    gradient off the chain one order below.  Exact rational arithmetic
+    throughout.
     """
     k, l, N = case.k, case.l, case.N
-    if l == 0:
-        chain = _chain_l0(k, N)
-    elif case.k_even and case.l_even:
-        chain = _chain_ee(case.m, case.h, N)
-    elif case.k_even:
-        chain = _chain_eo(case.m, case.h, N)
-    elif case.l_even:
-        chain = _chain_oe(case.m, case.h, N)
-    else:
-        chain = _chain_oo(case.m, case.h, N)
+    chain = _chain(k, l, N)
     if len(chain) != k or any(c <= 0 for c in chain):
         raise InternalConsistencyError(f"chain replay for (k={k}, l={l}, N={N}) produced an invalid chain")
     return chain

@@ -132,35 +132,31 @@ def converge_plane_terms(fn, spec: PlaneQuadratureSpec, box):
 
 
 class _PlaneTable:
-    """Separable jets expanded to the tensor grid, shared by all integrands."""
+    """Separable jets of v expanded to the tensor points ``rho x y``, shared by all integrands."""
 
-    def __init__(self, v: SeparableTestFunction, N: int, grid: PlaneGrid):
-        self.grid = grid
-        pj = v.phi.jet(grid.rho, 2)
-        qj = v.psi.jet(grid.y, 2)
+    def __init__(self, v: SeparableTestFunction, N: int, rho: np.ndarray, y: np.ndarray):
+        pj = v.phi.jet(rho, 2)
+        qj = v.psi.jet(y, 2)
         outer = np.multiply.outer
         self.v = outer(pj.value(), qj.value())
         self.v_rho = outer(pj.derivative(1), qj.value())
         self.v_y = outer(pj.value(), qj.derivative(1))
         self.v_yy = outer(pj.value(), qj.derivative(2))
-        lap_x = pj.derivative(2) + (N - 2) * pj.derivative(1) / grid.rho
+        lap_x = pj.derivative(2) + (N - 2) * pj.derivative(1) / rho
         self.lap_x_v = outer(lap_x, qj.value())
         self.lap = self.lap_x_v + self.v_yy
         self.grad_sq = self.v_rho**2 + self.v_y**2
-        self.rho_pow = grid.rho ** (N - 2)
-        self.ymesh = np.broadcast_to(grid.y, self.v.shape)
-        self.dist = _distance_values(grid.rho[:, None], grid.y[None, :])
-
-    def integrate(self, values: np.ndarray) -> float:
-        return self.grid.integrate(values * self.rho_pow[:, None])
+        self.ymesh = np.broadcast_to(y, self.v.shape)
+        self.dist = _distance_values(rho[:, None], y[None, :])
 
 
 def _plane_integrals(v, N, spec, integrands):
-    """Converged ``{term: integral}`` for ``integrands = {term: f(_PlaneTable) -> values}``."""
+    """Converged ``{term: integral}`` of ``{term: f(_PlaneTable) -> values}`` times the flat factor rho^{N-2}."""
 
     def fn(grid):
-        table = _PlaneTable(v, N, grid)
-        return {key: table.integrate(make(table)) for key, make in integrands.items()}
+        table = _PlaneTable(v, N, grid.rho, grid.y)
+        rho_pow = grid.rho ** (N - 2)
+        return {key: grid.integrate(make(table) * rho_pow[:, None]) for key, make in integrands.items()}
 
     return converge_plane_terms(fn, spec or PlaneQuadratureSpec(), v.box)
 
@@ -259,37 +255,29 @@ def check_pf2(
     residual of the variant with middle power alpha is reported in details.
     """
     rho_hi, y_lo, y_hi = v.box
-    rho = _chebyshev(0.0, rho_hi, counts[0])
     y = _chebyshev(y_lo, y_hi, counts[1])
-    pj = v.phi.jet(rho, 2)
-    qj = v.psi.jet(y, 2)
-    outer = np.multiply.outer
-    vv = outer(pj.value(), qj.value())
-    v_y = outer(pj.value(), qj.derivative(1))
-    v_yy = outer(pj.value(), qj.derivative(2))
-    lap_x = outer(pj.derivative(2) + (N - 2) * pj.derivative(1) / rho, qj.value())
+    t = _PlaneTable(v, N, _chebyshev(0.0, rho_hi, counts[0]), y)
     ym = y[None, :]
 
     # left side from derivatives of u = y^alpha v itself
-    u_y = alpha * ym ** (alpha - 1.0) * vv + ym**alpha * v_y
+    u_y = alpha * ym ** (alpha - 1.0) * t.v + ym**alpha * t.v_y
     u_yy = (
-        alpha * (alpha - 1.0) * ym ** (alpha - 2.0) * vv
-        + 2.0 * alpha * ym ** (alpha - 1.0) * v_y
-        + ym**alpha * v_yy
+        alpha * (alpha - 1.0) * ym ** (alpha - 2.0) * t.v
+        + 2.0 * alpha * ym ** (alpha - 1.0) * t.v_y
+        + ym**alpha * t.v_yy
     )
-    lap_u = ym**alpha * lap_x + u_yy
+    lap_u = ym**alpha * t.lap_x_v + u_yy
     lhs = ym**2 * lap_u - (N - 2) * ym * u_y
 
-    lap_v = lap_x + v_yy
     rhs = (
-        ym ** (alpha + 2.0) * lap_v
-        + (2.0 * alpha - (N - 2)) * ym ** (alpha + 1.0) * v_y
-        + alpha * (alpha - (N - 1.0)) * ym**alpha * vv
+        ym ** (alpha + 2.0) * t.lap
+        + (2.0 * alpha - (N - 2)) * ym ** (alpha + 1.0) * t.v_y
+        + alpha * (alpha - (N - 1.0)) * ym**alpha * t.v
     )
     rhs_flat_mid = (
-        ym ** (alpha + 2.0) * lap_v
-        + (2.0 * alpha - (N - 2)) * ym**alpha * v_y
-        + alpha * (alpha - (N - 1.0)) * ym**alpha * vv
+        ym ** (alpha + 2.0) * t.lap
+        + (2.0 * alpha - (N - 2)) * ym**alpha * t.v_y
+        + alpha * (alpha - (N - 1.0)) * ym**alpha * t.v
     )
     scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
     flat_abs = float(np.max(np.abs(lhs - rhs_flat_mid)))

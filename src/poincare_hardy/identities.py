@@ -6,11 +6,17 @@ flattens the volume element.  This module checks the substitution identities
 pointwise (two independent jet pipelines) and the two integral estimates that
 the mode argument rests on, and exposes the slack decomposition that rebuilds
 the n = 0 remainder from the three one-dimensional lemmas.
+
+All integrals come from one raw family over an order-2 jet f under dr (f = v
+for the estimates, f = u for the lemmas); the estimates, the lemmas and the
+slacks are exact coefficient tables over it.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -70,81 +76,122 @@ def check_trans1(u: RadialProfile, N: int, count: int = 50, tol: float = 1e-10) 
     return IdentityResidualReport.from_sides("trans1", u.id, N, None, lhs, rhs, tol)
 
 
-def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
-    """Converged raw integrals of the v-side quantities for one radial part."""
-    if d.support is None:
-        raise ValueError("integral identity checks need a compactly supported profile")
-    r_max = d.support[1] + 1.0
+# The raw family {key: integrand(t)}: t carries f, df = f', ddf = f'', r,
+# coth r and s2 = sinh^-2 r.  The first seven keys are the lemma terms, the rest
+# appear only in the estimates.  sinh4 is (sinh^-2)^2, not sinh^-4: they differ
+# in the last bit.
+_RAW = {
+    "grad_sinh2": lambda t: t.df**2 * t.s2,
+    "sinh4": lambda t: t.f**2 * t.s2**2,
+    "sinh2": lambda t: t.f**2 * t.s2,
+    "grad": lambda t: t.df**2,
+    "r2": lambda t: t.f**2 * t.r**-2.0,
+    "lap2": lambda t: t.ddf**2,
+    "r4": lambda t: t.f**2 * t.r**-4.0,
+    "v2": lambda t: t.f**2,
+    "c_v_dv": lambda t: t.coth * t.f * t.df,
+    "c2_v2": lambda t: t.coth**2 * t.f**2,
+    "ddv_c2v": lambda t: t.ddf * t.coth**2 * t.f,
+    "ddv_v": lambda t: t.ddf * t.f,
+    "ddv_v_s2": lambda t: t.ddf * t.f * t.s2,
+    "c2_v2_s2": lambda t: t.coth**2 * t.f**2 * t.s2,
+    "c4_v2": lambda t: t.coth**4 * t.f**2,
+}
+
+# {case: {term: exact coefficient}} over the raw integrals.  The lemmas read
+# the order-2 jet of u directly: an N = 1 Laplacian tower gives the same
+# integrals at several times the cost.
+_LEMMAS = {
+    "hardy1d_sinh": {"grad_sinh2": 1, "sinh4": -F(9, 4), "sinh2": -1},
+    "hardy1d_hardy": {"grad": 1, "r2": -F(1, 4)},
+    "hardy1d_rellich": {"lap2": 1, "r4": -F(9, 16)},
+}
+
+
+def _raw_integrals(u: RadialProfile, jet, spec: QuadratureSpec, keys):
+    """Converged ``_RAW`` integrals ``keys`` for the order-2 jet ``jet(r)``, zero outside u's support."""
+    if u.support is None:
+        raise ValueError("integral checks need a compactly supported profile")
 
     def terms(grid):
-        span = grid.span(d.support)
+        span = grid.span(u.support)
         r = grid.nodes[span]
-        w = to_v_transform(d, N, r, 2)
-        v, dv, ddv = w.value(), w.derivative(1), w.derivative(2)
-        c = coth(r)
-        inv_s2 = np.sinh(r) ** -2.0
-        raw = {
-            "v2": v**2,
-            "v2_s2": v**2 * inv_s2,
-            "v2_s4": v**2 * inv_s2**2,
-            "v2_r2": v**2 * r**-2.0,
-            "v2_r4": v**2 * r**-4.0,
-            "dv2": dv**2,
-            "dv2_s2": dv**2 * inv_s2,
-            "ddv2": ddv**2,
-            "c_v_dv": c * v * dv,
-            "c2_v2": c**2 * v**2,
-            "ddv_c2v": ddv * c**2 * v,
-            "ddv_v": ddv * v,
-            "ddv_v_s2": ddv * v * inv_s2,
-            "c2_v2_s2": c**2 * v**2 * inv_s2,
-            "c4_v2": c**4 * v**2,
-        }
-        return {key: grid.integrate(val, span) for key, val in raw.items()}
+        f = jet(r)
+        t = SimpleNamespace(
+            f=f.value(), df=f.derivative(1), ddf=f.derivative(2), r=r, coth=coth(r), s2=np.sinh(r) ** -2.0
+        )
+        return {key: grid.integrate(_RAW[key](t), span) for key in keys}
 
-    return converge_terms(terms, spec, r_max)
+    return converge_terms(terms, spec, u.support[1] + 1.0)
+
+
+@functools.lru_cache(maxsize=8)
+def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
+    """Every raw integral of v = sinh^{(N-1)/2} d; none depends on the mode n.
+
+    Cached, so callers share the returned dicts and must not change them.
+    """
+    return _raw_integrals(d, lambda r: to_v_transform(d, N, r, 2), spec, tuple(_RAW))
+
+
+def _combine(vals: dict, coef: dict) -> float:
+    """Sum of ``float(c) * vals[key]`` over the table, added left to right.
+
+    A plain loop: ``sum`` compensates float rounding from Python 3.12 on.
+    """
+    total = 0.0
+    for key, c in coef.items():
+        total += float(c) * vals[key]
+    return total
 
 
 def _estimate1_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
     lam = lambda_n(n, N)
-    al = F((N - 1) * (N - 3), 4)
+    a = (N - 1) * (N - 3)
+    al = F(a, 4)
     be = F(N - 1, 2)
-    # expand the squared operator; each piece is a raw integral
-    lhs = (
-        vals["ddv2"]
-        + float(al * al) * vals["c4_v2"]
-        + float(be * be) * vals["v2"]
-        + float(lam * lam) * vals["v2_s4"]
-        - 2 * float(al) * vals["ddv_c2v"]
-        - 2 * float(be) * vals["ddv_v"]
-        - 2 * float(lam) * vals["ddv_v_s2"]
-        + 2 * float(al * be) * vals["c2_v2"]
-        + 2 * float(al * lam) * vals["c2_v2_s2"]
-        + 2 * float(be * lam) * vals["v2_s2"]
-    )
-    s4 = (
-        F(lam) ** 2
-        + F((N - 1) * (N - 3), 2) * lam
-        - 6 * lam
-        + F((N - 1) ** 2 * (N - 3) ** 2, 16)
-        - F(3 * (N - 1) * (N - 3), 2)
-    )
-    s2 = (
-        F((N - 1) ** 2 * (N - 3) ** 2, 8)
-        + F((N - 1) ** 2 * (N - 3), 4)
-        + F((N - 1) * (N - 3), 2) * lam
-        + (N - 5) * lam
-        - F((N - 1) * (N - 3), 1)
-    )
-    rhs = (
-        vals["ddv2"]
-        + float(F((N - 1) ** 2, 2)) * vals["dv2"]
-        + float(F((N - 1) * (N - 3), 2) + 2 * lam) * vals["dv2_s2"]
-        + float(F((N - 1) ** 4, 16)) * vals["v2"]
-        + float(s4) * vals["v2_s4"]
-        + float(s2) * vals["v2_s2"]
-    )
-    return lhs, rhs
+    # the squared operator, expanded; each piece is a raw integral
+    lhs = {
+        "lap2": 1,
+        "c4_v2": al * al,
+        "v2": be * be,
+        "sinh4": lam * lam,
+        "ddv_c2v": -2 * al,
+        "ddv_v": -2 * be,
+        "ddv_v_s2": -2 * lam,
+        "c2_v2": 2 * al * be,
+        "c2_v2_s2": 2 * al * lam,
+        "sinh2": 2 * be * lam,
+    }
+    # after integrating the cross terms by parts
+    rhs = {
+        "lap2": 1,
+        "grad": F((N - 1) ** 2, 2),
+        "grad_sinh2": F(a, 2) + 2 * lam,
+        "v2": F((N - 1) ** 4, 16),
+        "sinh4": lam * lam + (F(a, 2) - 6) * lam + F(a * (a - 24), 16),
+        "sinh2": F((a + 2 * N - 10) * (a + 4 * lam), 8),
+    }
+    return _combine(vals, lhs), _combine(vals, rhs)
+
+
+def _estimate2_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
+    lam = lambda_n(n, N)
+    be2 = F((N - 1) ** 2, 4)
+    lhs = {"grad": 1, "sinh2": lam, "c2_v2": be2, "c_v_dv": -(N - 1)}
+    rhs = {
+        "grad": be2,
+        "v2": F((N - 1) ** 4, 16),
+        "sinh2": be2 * lam + F((N - 1) ** 3 * (N - 3), 16),
+    }
+    # the common factor stays outside the sum, as in the statement
+    return float(be2) * _combine(vals, lhs), _combine(vals, rhs)
+
+
+def _check_estimate(sides, which, d, n, N, spec, tol) -> IdentityResidualReport:
+    vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec())
+    lhs, rhs = sides(vals, n, N)
+    return IdentityResidualReport.from_sides(which, d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})
 
 
 def check_estimate1(
@@ -155,24 +202,7 @@ def check_estimate1(
     int (v'' - ((N-1)(N-3)/4) coth^2 v - ((N-1)/2) v - lambda_n v/sinh^2)^2 dr
     equals the six-term right-hand side produced by integrating by parts.
     """
-    spec = spec or QuadratureSpec()
-    vals, _ = _mode_raw_integrals(d, N, spec)
-    lhs, rhs = _estimate1_sides(vals, n, N)
-    return IdentityResidualReport.from_sides("estimate1", d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})
-
-
-def _estimate2_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
-    lam = lambda_n(n, N)
-    be2 = F((N - 1) ** 2, 4)
-    lhs = float(be2) * (
-        vals["dv2"] + float(lam) * vals["v2_s2"] + float(be2) * vals["c2_v2"] - (N - 1) * vals["c_v_dv"]
-    )
-    rhs = (
-        float(be2) * vals["dv2"]
-        + float(F((N - 1) ** 4, 16)) * vals["v2"]
-        + float(be2 * lam + F((N - 1) ** 3 * (N - 3), 16)) * vals["v2_s2"]
-    )
-    return lhs, rhs
+    return _check_estimate(_estimate1_sides, "estimate1", d, n, N, spec, tol)
 
 
 def check_estimate2(
@@ -185,21 +215,7 @@ def check_estimate2(
     to ((N-1)/2)^2 int (v')^2 + ((N-1)^4/16) int v^2
     + (((N-1)^2/4) lambda_n + (N-1)^3 (N-3)/16) int v^2/sinh^2.
     """
-    spec = spec or QuadratureSpec()
-    vals, _ = _mode_raw_integrals(d, N, spec)
-    lhs, rhs = _estimate2_sides(vals, n, N)
-    return IdentityResidualReport.from_sides("estimate2", d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})
-
-
-# {case: {term: exact coefficient}} over the integrals of check_1d_lemmas.  The
-# lemmas read the order-2 jet of u directly: an N = 1 Laplacian tower gives the
-# same integrals at several times the cost, and sinh^-4 differs from
-# (sinh^-2)^2 in the last bit.
-_LEMMAS = {
-    "hardy1d_sinh": {"grad_sinh2": 1, "sinh4": -F(9, 4), "sinh2": -1},
-    "hardy1d_hardy": {"grad": 1, "r2": -F(1, 4)},
-    "hardy1d_rellich": {"lap2": 1, "r4": -F(9, 16)},
-}
+    return _check_estimate(_estimate2_sides, "estimate2", d, n, N, spec, tol)
 
 
 def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> list[MarginReport]:
@@ -209,29 +225,8 @@ def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: f
     int (u')^2       >= (1/4) int u^2/r^2
     int (u'')^2      >= (9/16) int u^2/r^4
     """
-    spec = spec or QuadratureSpec()
-    if u.support is None:
-        raise ValueError("the one-dimensional lemmas need a compactly supported profile")
-    r_max = u.support[1] + 1.0
-
-    def terms(grid):
-        span = grid.span(u.support)
-        r = grid.nodes[span]
-        jet = u.jet(r, 2)
-        v, dv, ddv = jet.value(), jet.derivative(1), jet.derivative(2)
-        inv_s2 = np.sinh(r) ** -2.0
-        raw = {
-            "grad_sinh2": dv**2 * inv_s2,
-            "sinh4": v**2 * inv_s2**2,
-            "sinh2": v**2 * inv_s2,
-            "grad": dv**2,
-            "r2": v**2 * r**-2.0,
-            "lap2": ddv**2,
-            "r4": v**2 * r**-4.0,
-        }
-        return {key: grid.integrate(val, span) for key, val in raw.items()}
-
-    vals, errs = converge_terms(terms, spec, r_max)
+    keys = [key for coef in _LEMMAS.values() for key in coef]
+    vals, errs = _raw_integrals(u, lambda r: u.jet(r, 2), spec or QuadratureSpec(), keys)
     return [MarginReport.from_integrals(case, u.id, None, vals, errs, coef, tol) for case, coef in _LEMMAS.items()]
 
 
@@ -244,24 +239,13 @@ def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | N
     one-dimensional lemmas applied to v.  Exact algebra; the returned
     ``residual_rel`` is quadrature noise only.
     """
-    spec = spec or QuadratureSpec()
-    vals, _ = _mode_raw_integrals(d, N, spec)
-    lhs1, rhs1 = _estimate1_sides(vals, 0, N)
-    lhs2, rhs2 = _estimate2_sides(vals, 0, N)
-    margin_direct = lhs1 - lhs2
+    vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec())
+    margin_direct = _estimate1_sides(vals, 0, N)[0] - _estimate2_sides(vals, 0, N)[0]
     a0, b0 = anbn(0, N)
-    slack_sinh = vals["dv2_s2"] - 2.25 * vals["v2_s4"] - vals["v2_s2"]
-    slack_hardy = vals["dv2"] - 0.25 * vals["v2_r2"]
-    slack_rellich = vals["ddv2"] - 0.5625 * vals["v2_r4"]
-    pieces = {
-        "r4": 0.5625 * vals["v2_r4"],
-        "r2": float(F((N - 1) ** 2, 16)) * vals["v2_r2"],
-        "sinh4": float(a0) * vals["v2_s4"],
-        "sinh2": float(b0) * vals["v2_s2"],
-        "slack_rellich": slack_rellich,
-        "slack_hardy": float(F((N - 1) ** 2, 4)) * slack_hardy,
-        "slack_sinh": float(F((N - 1) * (N - 3), 2)) * slack_sinh,
-    }
+    remainders = {"r4": F(9, 16), "r2": F((N - 1) ** 2, 16), "sinh4": a0, "sinh2": b0}
+    pieces = {key: float(c) * vals[key] for key, c in remainders.items()}
+    for lemma, weight in (("rellich", 1), ("hardy", F((N - 1) ** 2, 4)), ("sinh", F((N - 1) * (N - 3), 2))):
+        pieces[f"slack_{lemma}"] = float(weight) * _combine(vals, _LEMMAS[f"hardy1d_{lemma}"])
     recomposed = sum(pieces.values())
     scale = abs(margin_direct) + abs(recomposed)
     out = {

@@ -184,15 +184,15 @@ def coth_jet(x: np.ndarray, order: int) -> Jet:
     return cosh_jet(x, order) / sinh_jet(x, order)
 
 
-def coth(x: np.ndarray, series_below: float = 1e-3) -> np.ndarray:
-    """coth(x) for x > 0, switching to the Laurent series near 0.
+def coth(x: np.ndarray) -> np.ndarray:
+    """coth(x) for x > 0, switching to the Laurent series below 1e-3.
 
     Direct evaluation of cosh/sinh loses relative accuracy in coth(x) - 1/x
     for tiny x; below the threshold the series 1/x + x/3 - x^3/45 + 2x^5/945
     is exact to double precision.
     """
     x = np.asarray(x, dtype=float)
-    small = np.abs(x) < series_below
+    small = np.abs(x) < 1e-3
     safe = np.where(small, 1.0, x)
     direct = np.cosh(safe) / np.sinh(safe)
     xs = np.where(small, x, 1.0)

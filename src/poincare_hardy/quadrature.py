@@ -50,21 +50,18 @@ class QuadratureSpec:
     """Integration policy for radial integrals on (0, r_max].
 
     The domain comes from the caller (support end + 1 for every certificate).
-    The first panel break sits at ``min_break_fraction * r_max`` and breaks
+    The first panel break sits at ``1e-6 * r_max`` and breaks
     grow geometrically from there.
     """
 
     panels: int = 32
     nodes_per_panel: int = 64
-    min_break_fraction: float = 1e-6
     rel_tol: float = 1e-10
     abs_tol: float = 1e-30
     max_doublings: int = 4
 
     def __post_init__(self):
         _check_spec(self)
-        if not 0.0 < self.min_break_fraction < 1.0:
-            raise QuadratureError("min_break_fraction must lie in (0, 1)")
 
 
 class Grid:
@@ -109,13 +106,17 @@ def _panel_rule(breaks: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, n
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
 
 
+# width of the first panel of a radial grid, relative to r_max
+_MIN_BREAK_FRACTION = 1e-6
+
+
 @functools.lru_cache(maxsize=64)
 def _cached_grid(spec: QuadratureSpec, r_max: float, refine: int) -> Grid:
     panels = spec.panels * (1 << refine)
     if panels == 1:
         breaks = np.array([0.0, r_max])
     else:
-        ratio = spec.min_break_fraction ** (1.0 / (panels - 1))
+        ratio = _MIN_BREAK_FRACTION ** (1.0 / (panels - 1))
         breaks = np.concatenate(([0.0], r_max * ratio ** np.arange(panels - 1, -1, -1.0)))
     nodes, weights = _panel_rule(breaks, spec.nodes_per_panel)
     return Grid(nodes, weights, r_max, refine)

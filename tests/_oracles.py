@@ -112,3 +112,46 @@ def trapezoid_plane(values_fn, rho_hi, y_lo, y_hi, n_rho=4001, n_y=4001, chunks=
             values_fn(block[:, None], y[None, :]), y, axis=1
         )
     return float(np.trapezoid(row_integrals, rho))
+
+
+# chain_replay(CaseSpec(k, l, N)) for every l < k <= 6 at N = 2k + 1, as exact
+# fractions.  Recorded from the replay while each parity class still had its own
+# odd-order step.  The endpoints are also checked against the closed forms of
+# case_leading_constants; the middle entries are pinned only here.
+CHAIN_REPLAY = {
+    (1, 0, 3): ("1/4",),
+    (2, 0, 5): ("2", "9/16"),
+    (2, 1, 5): ("1", "9/16"),
+    (3, 0, 7): ("657/16", "9", "81/64"),
+    (3, 1, 7): ("333/16", "9", "81/64"),
+    (3, 2, 7): ("9/16", "63/16", "81/64"),
+    (4, 0, 9): ("2080", "2025/4", "9009/16", "1521/256"),
+    (4, 1, 9): ("1056", "2025/4", "9009/16", "1521/256"),
+    (4, 2, 9): ("32", "1449/4", "9009/16", "1521/256"),
+    (4, 3, 9): ("16", "729/4", "4653/16", "1521/256"),
+    (5, 0, 11): ("12625625/64", "2512375/64", "11064625/128", "2185875/256", "1221025/1024"),
+    (5, 1, 11): ("6375625/64", "2512375/64", "11064625/128", "2185875/256", "1221025/1024"),
+    (5, 2, 11): ("125625/64", "1949875/64", "11064625/128", "2185875/256", "1221025/1024"),
+    (5, 3, 11): ("63125/64", "987375/64", "5783375/128", "2185875/256", "1221025/1024"),
+    (5, 4, 11): ("625/64", "9625/32", "355875/128", "865125/128", "1221025/1024"),
+    (6, 0, 13): (
+        "30444498",
+        "81637065/16",
+        "270586575/16",
+        "429176475/128",
+        "654929145/256",
+        "28676025/4096",
+    ),
+    (6, 1, 13): (
+        "15327954",
+        "81637065/16",
+        "270586575/16",
+        "429176475/128",
+        "654929145/256",
+        "28676025/4096",
+    ),
+    (6, 2, 13): ("211410", "66520521/16", "270586575/16", "429176475/128", "654929145/256", "28676025/4096"),
+    (6, 3, 13): ("106434", "33768009/16", "141990975/16", "429176475/128", "654929145/256", "28676025/4096"),
+    (6, 4, 13): ("1458", "910521/16", "11558295/16", "387040275/128", "654929145/256", "28676025/4096"),
+    (6, 5, 13): ("729", "455625/16", "5791905/16", "194535675/128", "20784195/16", "28676025/4096"),
+}

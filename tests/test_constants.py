@@ -31,6 +31,7 @@ from poincare_hardy import (
     yang_extended,
 )
 
+from _oracles import CHAIN_REPLAY
 
 def test_poincare_constant_frozen():
     # ((N-1)/2)^{2(k-l)}
@@ -117,6 +118,12 @@ def test_chain_replay_matches_closed_forms_spot():
         assert chain[-1] == last
         assert len(chain) == k
         assert all(c > 0 for c in chain)
+
+
+def test_chain_replay_middle_constants_frozen():
+    # margin_general weights every chain entry, not only the endpoints
+    for (k, l, N), want in CHAIN_REPLAY.items():
+        assert chain_replay(CaseSpec(k, l, N)) == tuple(F(c) for c in want)
 
 
 @settings(max_examples=60, deadline=None)

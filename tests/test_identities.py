@@ -10,7 +10,7 @@ term misses by an O(1) relative residual even on smooth members.
 import numpy as np
 import pytest
 
-from poincare_hardy import Bump, QuadratureSpec, Scaled, load_suite
+from poincare_hardy import Bump, QuadratureSpec, Scaled, identities, load_suite
 from poincare_hardy.identities import (
     check_1d_lemmas,
     check_estimate1,
@@ -63,6 +63,19 @@ def test_estimate_identities(n):
         assert r1.verdict and r2.verdict
         assert r1.max_rel_residual < 1e-12
         assert r2.max_rel_residual < 1e-12
+
+
+def test_mode_integrals_converge_once_for_both_estimates_and_modes(monkeypatch):
+    # the raw v-side integrals do not depend on n, so one doubling loop serves all four reports
+    calls = []
+    converge = identities.converge_terms
+    monkeypatch.setattr(identities, "converge_terms", lambda *args: calls.append(args) or converge(*args))
+    identities._mode_raw_integrals.cache_clear()
+    u = Bump(2.0, 1.0, 1)
+    for n in (0, 2):
+        assert check_estimate1(u, n, 7).verdict
+        assert check_estimate2(u, n, 7).verdict
+    assert len(calls) == 1
 
 
 def test_estimate1_residual_scale_invariant():

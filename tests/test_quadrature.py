@@ -5,6 +5,7 @@ import pytest
 
 from poincare_hardy import Bump, PlaneQuadratureSpec, QuadratureError, QuadratureSpec
 from poincare_hardy.quadrature import (
+    _MIN_BREAK_FRACTION,
     build_grid,
     converge_terms,
     log_sinh,
@@ -23,8 +24,8 @@ def test_grid_layout():
     assert grid.nodes[0] > 0.0 and grid.nodes[-1] < 5.0
     assert np.all(grid.weights > 0.0)
     assert abs(grid.weights.sum() - 5.0) < 1e-12
-    # panels crowd the origin: the first panel is ~min_break_fraction wide
-    assert grid.nodes[spec.nodes_per_panel - 1] < 5.0 * spec.min_break_fraction * 1.01
+    # panels crowd the origin: the first panel is ~_MIN_BREAK_FRACTION wide
+    assert grid.nodes[spec.nodes_per_panel - 1] < 5.0 * _MIN_BREAK_FRACTION * 1.01
 
 
 def test_grid_span_is_strictly_inside_support():
@@ -66,8 +67,6 @@ def test_spec_validation():
             with pytest.raises(QuadratureError):
                 spec_cls(**bad)
         assert spec_cls(max_doublings=0).max_doublings == 0
-    with pytest.raises(QuadratureError):
-        QuadratureSpec(min_break_fraction=1.5)
 
 
 def _converged(g, N, weight, r_max):
