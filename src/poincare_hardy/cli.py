@@ -69,8 +69,17 @@ def _build_parser() -> _Parser:
             help=f"output file (default: stdout, or ${_OUTDIR_ENV}/<auto-name> if set)",
         )
 
+    def tolerance(text):
+        """A verdict tolerance: at tol >= 1 every margin passes, whatever the integrals are."""
+        value = float(text)
+        if not 0.0 < value < 1.0:
+            raise argparse.ArgumentTypeError(f"must satisfy 0 < tol < 1, got {text!r}")
+        return value
+
+    def add_tol(p):
+        p.add_argument("--tol", type=tolerance, default=None, help="verdict tolerance, 0 < tol < 1")
+
     def add_quad(p):
-        p.add_argument("--tol", type=float, default=None, help="verdict tolerance")
         p.add_argument("--panels", type=int, default=None, help="quadrature panels per axis")
         p.add_argument("--nodes", type=int, default=None, help="Gauss-Legendre nodes per panel")
         p.add_argument("--doublings", type=int, default=None, help="panel doubling budget")
@@ -93,6 +102,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--k", type=int, default=None, help="left order for --case general")
     v.add_argument("--l", type=int, default=None, help="right order for --case general")
     v.add_argument("--suite", default="standard", help="test function suite name")
+    add_tol(v)
     add_quad(v)
     add_common(v)
 
@@ -101,6 +111,7 @@ def _build_parser() -> _Parser:
     i.add_argument("--N", type=int, default=5, help="hyperbolic dimension (default 5)")
     i.add_argument("--n", type=int, default=0, help="spherical mode for the estimate identities")
     i.add_argument("--suite", default="standard", help="test function suite name")
+    add_tol(i)
     add_quad(i)
     add_common(i)
 
@@ -116,6 +127,7 @@ def _build_parser() -> _Parser:
     h.add_argument("--N", type=int, default=5, help="dimension (default 5)")
     h.add_argument("--alpha", type=float, action="append", default=None, help="power(s) for pf1/pf2")
     h.add_argument("--suite", default="standard", help="half-space suite name")
+    add_tol(h)
     add_quad(h)
     add_common(h)
     return parser

@@ -4,13 +4,21 @@ Everything here is computed in ``fractions.Fraction``; floats never enter.
 The chain constants for a general case (k, l, N) are produced twice, by
 independent routes: closed forms typed from the statements
 (``case_leading_constants``, ``dk_ek``, ``a_gamma``, ``b_gamma_beta``) and a
-replay of the proof chains (``chain_replay``) that composes the fourth-order
-weighted step repeatedly.  The test suite requires the two routes to agree
-exactly at the endpoints.
+replay of the proof chains (``chain_replay``).  The replay is a Poincare
+cascade of single-order steps. Each step is the (1, 0) or the (2, 1) chain
+applied to Lap^g u and expanded by the fourth-order weighted step
+(``yang_extended``).  The test suite requires the two routes to agree exactly
+at the endpoints.
+
+Every other constant comes from one derivation.  The named inequalities
+poincare, rellich and thm21 are the cases (1, 0), (2, 0) and (2, 1).  The
+extra sinh remainders of thm21 are the n = 0 mode minima A_0, B_0
+(``anbn``).  The half-space corollaries reuse the (2, 1) chain.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -127,12 +135,14 @@ def yang_constants(beta: int, N: int) -> dict[str, Fraction]:
     return {"w4": w4, "w2": w2, "w0": w0}
 
 
+@functools.lru_cache(maxsize=None)
 def yang_extended(gamma: int, beta: int, N: int) -> tuple[Fraction, ...]:
     """Coefficients of u^2/r^{beta+2p}, p = 0..2*gamma, bounding int (Lap^gamma u)^2 / r^beta.
 
     Built by iterating the fourth-order weighted step; requires
     N > beta + 4*gamma.  The endpoints must reproduce a_gamma and
-    b_gamma_beta, which is asserted.
+    b_gamma_beta, which is asserted.  Cached: ``chain_replay`` expands every
+    remainder of every cascade step with it.
     """
     if gamma < 0 or beta < 0:
         raise HypothesisError("requires gamma >= 0 and beta >= 0")
@@ -179,92 +189,38 @@ def dk_ek(k: int, N: int) -> tuple[Fraction, Fraction]:
 
 
 def thm21_constants(N: int) -> dict[str, Fraction]:
-    """The four remainder constants of the (k, l) = (2, 1) inequality."""
-    if N <= 4:
-        raise HypothesisError(f"requires N > 4, got N={N}")
-    return {
-        "c_r2": F((N - 1) ** 2, 16),
-        "c_r4": F(9, 16),
-        "c_sinh2": F((N - 1) * (N - 3) * (N * N - 2 * N - 7), 16),
-        "c_sinh4": F((N - 1) * (N - 3) * (N * N - 4 * N - 3), 16),
-    }
+    """The four remainder constants of the (k, l) = (2, 1) inequality.
 
-
-def _chain_l0(k: int, N: int) -> tuple[Fraction, ...]:
-    """The chain for even k and l = 0."""
-    if k == 2:
-        return (F((N - 1) ** 2, 8), F(9, 16))
-    # split off one Laplacian: the order-(k-2) chain applied to Lap u, plus
-    # the Poincare cascade of the second-order remainders
-    out: dict[int, Fraction] = defaultdict(F)
-    cascade = F(N - 1, 2) ** (2 * (k - 2))
-    out[1] += cascade * F((N - 1) ** 2, 8)
-    out[2] += cascade * F(9, 16)
-    for i, ci in enumerate(_chain_l0(k - 2, N), start=1):
-        w0, w2, w4 = _yang_weights(2 * i, N)
-        out[i] += ci * w0
-        out[i + 1] += ci * w2
-        out[i + 2] += ci * w4
-    return tuple(out[q] for q in range(1, k + 1))
-
-
-def _chain_ee(m: int, h: int, N: int) -> tuple[Fraction, ...]:
-    base = _chain_l0(2 * (m - h), N)
-    out: dict[int, Fraction] = defaultdict(F)
-    for i, ci in enumerate(base, start=1):
-        for p, ep in enumerate(yang_extended(h, 2 * i, N)):
-            out[i + p] += ci * ep
-    return tuple(out[q] for q in range(1, 2 * m + 1))
-
-
-def _chain_eo(m: int, h: int, N: int) -> tuple[Fraction, ...]:
-    out: dict[int, Fraction] = defaultdict(F)
-    drop = F(N - 1, 2) ** (4 * (m - h - 1))
-    for p, ep in enumerate(yang_extended(h, 2, N)):
-        out[1 + p] += drop * F((N - 1) ** 2, 16) * ep
-    for p, ep in enumerate(yang_extended(h, 4, N)):
-        out[2 + p] += drop * F(9, 16) * ep
-    if h < m - 1:
-        for i, ci in enumerate(_chain_ee(m, h + 1, N), start=1):
-            out[i] += ci
-    return tuple(out[q] for q in range(1, 2 * m + 1))
-
-
-def _chain_odd(k: int, l: int, N: int) -> tuple[Fraction, ...]:
-    """Odd k = 2m+1: the first-order step on Lap^m u peels one gradient.
-
-    ((N-1)/2)^2 times the order-(k-1) chain (absent when l = k-1), plus the
-    1-D Hardy constant 1/4 on (Lap^m u)^2/r^2, expanded by yang_extended.
+    c_r2 and c_r4 are its chain; c_sinh4 = A_0 and c_sinh2 = B_0 are the
+    n = 0 minima of the spherical-mode coefficients.
     """
-    out: dict[int, Fraction] = defaultdict(F)
-    if l < k - 1:
-        for i, ci in enumerate(_chain(k - 1, l, N), start=1):
-            out[i] += F(N - 1, 2) ** 2 * ci
-    for p, ep in enumerate(yang_extended(k // 2, 2, N)):
-        out[1 + p] += F(1, 4) * ep
-    return tuple(out[q] for q in range(1, k + 1))
-
-
-def _chain(k: int, l: int, N: int) -> tuple[Fraction, ...]:
-    if k % 2:
-        return _chain_odd(k, l, N)
-    # _chain_ee(m, 0) is the l = 0 chain itself: yang_extended(0, .) is (1,)
-    return (_chain_eo if l % 2 else _chain_ee)(k // 2, l // 2, N)
+    c_r2, c_r4 = chain_replay(CaseSpec(2, 1, N))
+    a0, b0 = anbn(0, N)
+    return {"c_r2": c_r2, "c_r4": c_r4, "c_sinh2": b0, "c_sinh4": a0}
 
 
 def chain_replay(case: CaseSpec) -> tuple[Fraction, ...]:
     """The k remainder constants alpha^1..alpha^k, alpha^i on u^2/r^{2i}.
 
-    Replays the proof chain by composing the fourth-order weighted step, the
-    second-order steps and the Poincare cascade; an odd order peels one
-    gradient off the chain one order below.  Exact rational arithmetic
-    throughout.
+    Replays the Poincare cascade from order k down to order l one order at a
+    time.  The step from order j to j-1 is an inequality about Lap^g u,
+    g = (j-1)//2, and it leaves its own remainders on (Lap^g u)^2/r^{2i}. For
+    odd j that is the 1-D Hardy constant 1/4 at i = 1. For even j it is the
+    (2, 1) chain ((N-1)^2/16, 9/16) at i = 1, 2. yang_extended(g, 2i, N)
+    expands each remainder into u^2/r^{2(i+p)}, and the cascade weights the
+    step by ((N-1)/2)^{2(k-j)}.  Exact rational arithmetic throughout.
     """
     k, l, N = case.k, case.l, case.N
-    chain = _chain(k, l, N)
-    if len(chain) != k or any(c <= 0 for c in chain):
+    chain = [F(0)] * k
+    for j in range(l + 1, k + 1):
+        cascade = F(N - 1, 2) ** (2 * (k - j))
+        step = (F(1, 4),) if j % 2 else (F((N - 1) ** 2, 16), F(9, 16))
+        for i, c in enumerate(step, start=1):
+            for p, e in enumerate(yang_extended((j - 1) // 2, 2 * i, N)):
+                chain[i + p - 1] += cascade * c * e
+    if any(c <= 0 for c in chain):
         raise InternalConsistencyError(f"chain replay for (k={k}, l={l}, N={N}) produced an invalid chain")
-    return chain
+    return tuple(chain)
 
 
 def _d_or_zero(k: int, N: int) -> Fraction:
@@ -382,21 +338,24 @@ def anbn(n: int, N: int) -> tuple[Fraction, Fraction]:
 
 
 def halfspace_constants(which: str, N: int) -> dict[str, Fraction]:
-    """Exact constants of the two half-space fourth-order corollaries."""
-    if N <= 4:
-        raise HypothesisError(f"requires N > 4, got N={N}")
+    """Exact constants of the two half-space fourth-order corollaries.
+
+    Both transplant the (2, 1) inequality: d2 and d4, on the geodesic
+    distance d in place of r, are its chain.
+    """
+    d2, d4 = chain_replay(CaseSpec(2, 1, N))
     if which == "rellich1":
         return {
             "grad": F(N * N - 2 * N - 1, 4),
             "y2": F(N * (N - 2), 16),
-            "d2": F((N - 1) ** 2, 16),
-            "d4": F(9, 16),
+            "d2": d2,
+            "d4": d4,
         }
     if which == "rellich2":
         return {
             "grad": F(N * N - 2 * N - 9, 4),
             "y4": F(9 * (N + 2) * (N - 4), 16),
-            "d2": F((N - 1) ** 2, 16),
-            "d4": F(9, 16),
+            "d2": d2,
+            "d4": d4,
         }
     raise ValueError(f"unknown half-space corollary {which!r}")

@@ -20,7 +20,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .constants import anbn, lambda_n
+from .constants import CaseSpec, lambda_n, poincare_constant, thm21_constants
 from .jets import coth
 from .profiles import RadialProfile
 from .operators import laplace_radial, to_v_transform
@@ -234,17 +234,18 @@ def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | N
     """Rebuild the n = 0 mode margin from remainders plus lemma slacks.
 
     The difference of the two integral estimates at n = 0 must equal the sum
-    of the four remainder terms (9/16 on 1/r^4, (N-1)^2/16 on 1/r^2, A_0 on
-    1/sinh^4, B_0 on 1/sinh^2) plus the three nonnegative slacks of the
-    one-dimensional lemmas applied to v.  Exact algebra; the returned
-    ``residual_rel`` is quadrature noise only.
+    of the four remainder terms of the (2, 1) inequality (``thm21_constants``:
+    its chain on 1/r^4 and 1/r^2, A_0 on 1/sinh^4, B_0 on 1/sinh^2) plus the
+    three nonnegative slacks of the one-dimensional lemmas applied to v.
+    Requires N > 4.  Exact algebra; the returned ``residual_rel`` is
+    quadrature noise only.
     """
     vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec())
     margin_direct = _estimate1_sides(vals, 0, N)[0] - _estimate2_sides(vals, 0, N)[0]
-    a0, b0 = anbn(0, N)
-    remainders = {"r4": F(9, 16), "r2": F((N - 1) ** 2, 16), "sinh4": a0, "sinh2": b0}
-    pieces = {key: float(c) * vals[key] for key, c in remainders.items()}
-    for lemma, weight in (("rellich", 1), ("hardy", F((N - 1) ** 2, 4)), ("sinh", F((N - 1) * (N - 3), 2))):
+    c = thm21_constants(N)
+    pieces = {key: float(c[f"c_{key}"]) * vals[key] for key in ("r4", "r2", "sinh4", "sinh2")}
+    hardy = poincare_constant(CaseSpec(2, 1, N))
+    for lemma, weight in (("rellich", 1), ("hardy", hardy), ("sinh", F((N - 1) * (N - 3), 2))):
         pieces[f"slack_{lemma}"] = float(weight) * _combine(vals, _LEMMAS[f"hardy1d_{lemma}"])
     recomposed = sum(pieces.values())
     scale = abs(margin_direct) + abs(recomposed)

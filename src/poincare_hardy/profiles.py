@@ -106,6 +106,10 @@ class Bump(RadialProfile):
     width: float
     power: int = 0
 
+    def __post_init__(self):
+        if not (self.width > 0.0 and self.center + self.width > 0.0):
+            raise ValueError(f"bump needs width > 0 and center + width > 0, got {self.id}")
+
     @property
     def support(self) -> tuple[float, float]:
         return (max(self.center - self.width, 0.0), self.center + self.width)

@@ -14,8 +14,6 @@ inequality is one more table.
 
 from __future__ import annotations
 
-from fractions import Fraction as F
-
 import numpy as np
 
 from .constants import (
@@ -59,7 +57,7 @@ def _integrals(u, N, spec, integrands):
     def fn(grid):
         table = radial_table(u, N, spec, r_max, grid.refine, levels)
         r = grid.nodes[table.span]
-        mu = measure_values("hyperbolic", r, N)
+        mu = measure_values(r, N)
         out = {}
         for key, (k, weight) in integrands.items():
             values = gradk_sq_values(table, k)
@@ -78,46 +76,39 @@ def _margin(case, u, N, table, spec, tol) -> MarginReport:
     return MarginReport.from_integrals(case, u.id, N, vals, errs, coef, tol)
 
 
-def margin_poincare_hardy(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
-    """int |grad u|^2 >= ((N-1)/2)^2 int u^2 + (1/4) int u^2/r^2, hyperbolic measure."""
-    if N <= 2:
-        raise HypothesisError(f"requires N > 2, got N={N}")
+def _chain_table(case: CaseSpec, top: str, bottom: str) -> dict:
+    """The (k, l) inequality: int |grad^k u|^2 against the order-l term and its remainder chain."""
     table = {
-        "grad": (1, "one", 1),
-        "poincare": (0, "one", -F(N - 1, 2) ** 2),
-        "r2": (0, "inv_r2", -F(1, 4)),
+        top: (case.k, "one", 1),
+        bottom: (case.l, "one", -poincare_constant(case)),
     }
+    for i, c in enumerate(chain_replay(case), start=1):
+        table[f"r{2 * i}"] = (0, _inv_r(2 * i), -c)
+    return table
+
+
+def margin_poincare_hardy(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
+    """int |grad u|^2 >= ((N-1)/2)^2 int u^2 + (1/4) int u^2/r^2, hyperbolic measure: the case (1, 0)."""
+    table = _chain_table(CaseSpec(1, 0, N), "grad", "poincare")
     return _margin("poincare", u, N, table, spec, tol)
 
 
 def margin_rellich(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
-    """int (Lap u)^2 >= ((N-1)/2)^4 int u^2 + ((N-1)^2/8) int u^2/r^2 + (9/16) int u^2/r^4."""
-    if N <= 4:
-        raise HypothesisError(f"requires N > 4, got N={N}")
-    table = {
-        "lap2": (2, "one", 1),
-        "poincare": (0, "one", -F(N - 1, 2) ** 4),
-        "r2": (0, "inv_r2", -F((N - 1) ** 2, 8)),
-        "r4": (0, "inv_r4", -F(9, 16)),
-    }
+    """int (Lap u)^2 >= ((N-1)/2)^4 int u^2 + ((N-1)^2/8) int u^2/r^2 + (9/16) int u^2/r^4: the case (2, 0)."""
+    table = _chain_table(CaseSpec(2, 0, N), "lap2", "poincare")
     return _margin("rellich", u, N, table, spec, tol)
 
 
 def margin_thm21(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
-    """The second-order versus first-order inequality with its four remainders.
+    """The case (2, 1) with its two extra sinh remainders.
 
     int (Lap u)^2 >= ((N-1)/2)^2 int |grad u|^2 + c_r2 int u^2/r^2
     + c_r4 int u^2/r^4 + c_sinh2 int u^2/sinh^2 + c_sinh4 int u^2/sinh^4.
     """
+    table = _chain_table(CaseSpec(2, 1, N), "lap2", "grad")
     c = thm21_constants(N)
-    table = {
-        "lap2": (2, "one", 1),
-        "grad": (1, "one", -F(N - 1, 2) ** 2),
-        "r2": (0, "inv_r2", -c["c_r2"]),
-        "r4": (0, "inv_r4", -c["c_r4"]),
-        "sinh2": (0, "inv_sinh2", -c["c_sinh2"]),
-        "sinh4": (0, "inv_sinh4", -c["c_sinh4"]),
-    }
+    table["sinh2"] = (0, "inv_sinh2", -c["c_sinh2"])
+    table["sinh4"] = (0, "inv_sinh4", -c["c_sinh4"])
     return _margin("thm21", u, N, table, spec, tol)
 
 
@@ -141,10 +132,7 @@ def margin_general(case: CaseSpec, u: RadialProfile, spec: QuadratureSpec | None
     """
     if case.k > 4:
         raise ValueError("numerical margins support k <= 4; exact constants have no such cap")
-    table = {"gradk": (case.k, "one", 1), "gradl": (case.l, "one", -poincare_constant(case))}
-    for i, c in enumerate(chain_replay(case), start=1):
-        table[f"r{2 * i}"] = (0, _inv_r(2 * i), -c)
-    return _margin(f"general_k{case.k}_l{case.l}", u, case.N, table, spec, tol)
+    return _margin(f"general_k{case.k}_l{case.l}", u, case.N, _chain_table(case, "gradk", "gradl"), spec, tol)
 
 
 _SHARPNESS_RATES = (1.25, 1.15, 1.08, 1.04, 1.02, 1.008, 1.001)
@@ -191,10 +179,9 @@ def sharpness_probe(case: str, N: int = 5, params=None, spec: QuadratureSpec | N
             rows.append({"param": a, "quotient": vals["num"] / vals["den"]})
         return rows
     if case == "thm21_r2":
-        thm21_constants(N)  # enforces N > 4 before any integration
+        target = float(thm21_constants(N)["c_r2"])  # enforces N > 4 before any integration
+        pc = float(poincare_constant(CaseSpec(2, 1, N)))
         centers = params if params is not None else list(_SHARPNESS_CENTERS)
-        target = float(F((N - 1) ** 2, 16))
-        pc = float(F(N - 1, 2) ** 2)
         integrands = {"lap2": (2, "one"), "grad": (1, "one"), "r2": (0, "inv_r2")}
         rows = []
         for c in centers:

@@ -143,6 +143,30 @@ def test_verify_absurd_tolerance_exits_1(capsys):
     assert "FAIL" in out
 
 
+@pytest.mark.parametrize("tol", ["inf", "1", "nan", "0"])
+def test_out_of_range_tolerance_exits_64(tol, capsys):
+    # at tol >= 1 any margin passes the gate; tol <= 0 or nan fails every one
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--case", "hardy1d", "--tol", tol])
+    assert exc.value.code == 64
+    assert "argument --tol: must satisfy 0 < tol < 1" in capsys.readouterr().err
+
+
+def test_sharpness_has_no_tolerance(capsys):
+    # a sharpness table has no verdict for a tolerance to gate
+    with pytest.raises(SystemExit) as exc:
+        main(["sharpness", "--case", "thm21_r2", "--tol", "1e-3"])
+    assert exc.value.code == 64
+
+
+def test_sharpness_empty_bump_exits_64(capsys):
+    for params in ("--params=2,-1", "--params=-5"):
+        code, out, err = run(["sharpness", "--case", "thm21_r2", params], capsys)
+        assert code == 64
+        assert out == ""
+        assert err.startswith("error: bump needs width > 0")
+
+
 def test_verify_json_deterministic_and_round_trips(capsys):
     argv = ["verify", "--case", "poincare", "--N", "5", "--format", "json"]
     code1, out1, _ = run(argv, capsys)

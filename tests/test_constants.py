@@ -52,6 +52,16 @@ def test_thm21_constants_frozen_n5():
     # (N-1)(N-3)(N^2-4N-3)/16 = 4*2*2/16 = 1
     c = thm21_constants(5)
     assert c == {"c_r2": F(1), "c_r4": F(9, 16), "c_sinh2": F(4), "c_sinh4": F(1)}
+    # the (2, 1) chain and A_0, B_0 against the closed forms of the statement
+    for N in range(5, 21):
+        c = thm21_constants(N)
+        assert list(c) == ["c_r2", "c_r4", "c_sinh2", "c_sinh4"]
+        assert c == {
+            "c_r2": F((N - 1) ** 2, 16),
+            "c_r4": F(9, 16),
+            "c_sinh2": F((N - 1) * (N - 3) * (N * N - 2 * N - 7), 16),
+            "c_sinh4": F((N - 1) * (N - 3) * (N * N - 4 * N - 3), 16),
+        }
 
 
 @pytest.mark.parametrize("N", range(5, 12))
@@ -199,6 +209,18 @@ def test_halfspace_constants_frozen_n5():
         "d2": F(1),
         "d4": F(9, 16),
     }
+    for N in range(5, 21):
+        d = {"d2": F((N - 1) ** 2, 16), "d4": F(9, 16)}
+        assert list(halfspace_constants("rellich1", N).items()) == [
+            ("grad", F(N * N - 2 * N - 1, 4)),
+            ("y2", F(N * (N - 2), 16)),
+            *d.items(),
+        ]
+        assert list(halfspace_constants("rellich2", N).items()) == [
+            ("grad", F(N * N - 2 * N - 9, 4)),
+            ("y4", F(9 * (N + 2) * (N - 4), 16)),
+            *d.items(),
+        ]
     with pytest.raises(HypothesisError):
         halfspace_constants("rellich1", 4)
     with pytest.raises(ValueError):

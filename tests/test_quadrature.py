@@ -74,7 +74,7 @@ def _converged(g, N, weight, r_max):
 
     def fn(grid):
         r = grid.nodes
-        return {"v": grid.integrate(g(r) * weight_values(weight, r) * measure_values("hyperbolic", r, N))}
+        return {"v": grid.integrate(g(r) * weight_values(weight, r) * measure_values(r, N))}
 
     return converge_terms(fn, QuadratureSpec(), r_max)[0]["v"]
 
@@ -104,8 +104,7 @@ def test_weight_values_kinds():
 def test_measure_overflow_guard():
     r = np.array([100.0])
     with pytest.raises(QuadratureError, match="overflows"):
-        measure_values("hyperbolic", r, N=9)
-    assert measure_values("line", r, N=9) == 1.0
+        measure_values(r, N=9)
 
 
 def test_log_sinh_accuracy():

@@ -93,6 +93,15 @@ def test_product_with_empty_support_is_rejected():
     assert Product((ExpDecay(1.0), ExpDecay(2.0))).support is None
 
 
+def test_bump_with_empty_support_is_rejected():
+    # (max(c - w, 0), c + w) is empty or reversed; the grid up to c + w + 1
+    # would divide by zero or have no positive end
+    for center, width in ((-1.0, 1.0), (-5.0, 1.0), (2.0, 0.0), (2.0, -1.0), (2.0, float("nan"))):
+        with pytest.raises(ValueError, match="bump needs width > 0"):
+            Bump(center, width)
+    assert Bump(-0.5, 1.0).support == (0.0, 0.5)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.floats(0.0, 4.0),

@@ -55,14 +55,37 @@ def test_margins_positive_across_cases():
             assert report.verdict, (k, l, N, report.noise, report.scale)
 
 
+def _assert_same_report(named, general, keys):
+    # keys maps each named term to its general name; the terms sum in this order
+    assert list(named.terms) == list(keys)
+    assert [named.terms[k] for k in keys] == [general.terms[g] for g in keys.values()]
+    assert named.margin == general.margin
+    assert named.noise == general.noise
+
+
 def test_margin_general_agrees_with_named_cases():
     u, N = Bump(2.0, 1.0, 0), 7
-    gen = margin_general(CaseSpec(1, 0, N), u)
-    named = margin_poincare_hardy(u, N)
-    assert gen.margin == pytest.approx(named.margin, rel=1e-12)
-    gen2 = margin_general(CaseSpec(2, 0, N), u)
-    named2 = margin_rellich(u, N)
-    assert gen2.margin == pytest.approx(named2.margin, rel=1e-12)
+    _assert_same_report(
+        margin_poincare_hardy(u, N),
+        margin_general(CaseSpec(1, 0, N), u),
+        {"grad": "gradk", "poincare": "gradl", "r2": "r2"},
+    )
+    _assert_same_report(
+        margin_rellich(u, N),
+        margin_general(CaseSpec(2, 0, N), u),
+        {"lap2": "gradk", "poincare": "gradl", "r2": "r2", "r4": "r4"},
+    )
+
+
+def test_margin_thm21_is_general_21_plus_sinh_terms():
+    u, N = Bump(2.0, 1.0, 0), 7
+    thm = margin_thm21(u, N)
+    gen = margin_general(CaseSpec(2, 1, N), u)
+    keys = {"lap2": "gradk", "grad": "gradl", "r2": "r2", "r4": "r4"}
+    assert list(thm.terms) == [*keys, "sinh2", "sinh4"]
+    assert [thm.terms[k] for k in keys] == [gen.terms[g] for g in keys.values()]
+    assert thm.terms["sinh2"] < 0.0 and thm.terms["sinh4"] < 0.0
+    assert thm.margin == sum([*gen.terms.values(), thm.terms["sinh2"], thm.terms["sinh4"]])
 
 
 def test_margin_homogeneity():
