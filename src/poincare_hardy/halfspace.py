@@ -2,15 +2,18 @@
 
 Points are (x, y) with x in R^{N-1}, y > 0, hyperbolic metric delta/y^2 and
 volume element y^{-N} dx dy.  Test functions are separable products
-v = phi(rho) psi(y) with rho = |x|, so every integral reduces to a
-two-dimensional tensor quadrature carrying the flat factor rho^{N-2}; the
-area of the unit (N-2)-sphere is omitted throughout, which rescales both
-sides of every inequality identically.  The geodesic distance to the point
-(0, 1) weights the sharpened remainder terms.
+v = phi(rho) psi(y) with rho = |x|, integrated against the flat factor
+rho^{N-2}; the area of the unit (N-2)-sphere is omitted throughout, which
+rescales both sides of every inequality identically.  Every weight but the
+geodesic distance to the point (0, 1) is a power of y, so by Fubini each such
+integral is a sum of products of one-dimensional Gauss-Legendre integrals,
+one in rho^{N-2} drho and one in dy.  Only the distance-sharpened remainders
+are two-dimensional: they share one field d^-2 on the tensor grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction as F
 
@@ -20,7 +23,7 @@ from .constants import halfspace_constants
 from .errors import HypothesisError
 from .profiles import RadialProfile, load_halfspace_suite
 from .quadrature import _chebyshev, _check_spec, _doubling, _panel_rule
-from .reports import IdentityResidualReport, MarginReport
+from .reports import IdentityResidualReport, MarginReport, ordered_sum
 
 __all__ = [
     "HalfspacePoint",
@@ -50,15 +53,19 @@ class HalfspacePoint:
             raise HypothesisError(f"requires y > 0, got y={self.y}")
 
 
-def _distance_values(rho, y):
-    rho = np.asarray(rho, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return np.arccosh(1.0 + ((y - 1.0) ** 2 + rho**2) / (2.0 * y))
-
-
 def geodesic_distance(p: HalfspacePoint) -> float:
     """Hyperbolic distance from p to (0, 1): arcosh(1 + ((y-1)^2 + rho^2)/(2y))."""
-    return float(_distance_values(p.rho, p.y))
+    return math.acosh(1.0 + ((p.y - 1.0) ** 2 + p.rho**2) / (2.0 * p.y))
+
+
+def _inverse_distance_sq(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d^-2 on the tensor points rho x y, built in place in one (n_rho, n_y) array."""
+    field = np.add.outer(rho**2, (y - 1.0) ** 2)
+    field /= 2.0 * y
+    field += 1.0
+    np.arccosh(field, out=field)
+    field *= field
+    return np.reciprocal(field, out=field)
 
 
 @dataclass(frozen=True)
@@ -102,20 +109,19 @@ class PlaneQuadratureSpec:
         _check_spec(self)
 
 
+@dataclass(frozen=True, slots=True)
 class PlaneGrid:
-    """Tensor rule on [0, rho_hi] x [y_lo, y_hi]; values are (n_rho, n_y) arrays."""
+    """Tensor rule on [0, rho_hi] x [y_lo, y_hi]: one composite Gauss-Legendre rule per axis."""
 
-    __slots__ = ("rho", "wr", "y", "wy", "refine")
+    rho: np.ndarray
+    wr: np.ndarray
+    y: np.ndarray
+    wy: np.ndarray
+    refine: int
 
-    def __init__(self, rho, wr, y, wy, refine):
-        self.rho = rho
-        self.wr = wr
-        self.y = y
-        self.wy = wy
-        self.refine = refine
-
-    def integrate(self, values: np.ndarray) -> float:
-        return float(self.wr @ values @ self.wy)
+    def integrate(self, values: np.ndarray, rows=1.0, cols=1.0) -> float:
+        """Tensor sum of an (n_rho, n_y) array times ``rows`` (over rho) and ``cols`` (over y)."""
+        return float((self.wr * rows) @ values @ (self.wy * cols))
 
 
 def build_plane_grid(spec: PlaneQuadratureSpec, box: tuple[float, float, float], refine: int = 0) -> PlaneGrid:
@@ -132,48 +138,59 @@ def converge_plane_terms(fn, spec: PlaneQuadratureSpec, box):
 
 
 class _PlaneTable:
-    """Separable jets of v expanded to the tensor points ``rho x y``, shared by all integrands."""
+    """The 1-D jets of phi on the rho nodes and of psi on the y nodes, shared by all integrands."""
 
     def __init__(self, v: SeparableTestFunction, N: int, rho: np.ndarray, y: np.ndarray):
         pj = v.phi.jet(rho, 2)
         qj = v.psi.jet(y, 2)
-        outer = np.multiply.outer
-        self.v = outer(pj.value(), qj.value())
-        self.v_rho = outer(pj.derivative(1), qj.value())
-        self.v_y = outer(pj.value(), qj.derivative(1))
-        self.v_yy = outer(pj.value(), qj.derivative(2))
-        lap_x = pj.derivative(2) + (N - 2) * pj.derivative(1) / rho
-        self.lap_x_v = outer(lap_x, qj.value())
-        self.lap = self.lap_x_v + self.v_yy
-        self.grad_sq = self.v_rho**2 + self.v_y**2
-        self.ymesh = np.broadcast_to(y, self.v.shape)
-        self.dist = _distance_values(rho[:, None], y[None, :])
+        self.p, self.p1 = pj.value(), pj.derivative(1)
+        self.lap_x = pj.derivative(2) + (N - 2) * self.p1 / rho  # Laplacian of phi(|x|) on R^{N-1}
+        self.q, self.q1, self.q2 = qj.value(), qj.derivative(1), qj.derivative(2)
+        self.y = y
 
 
-def _plane_integrals(v, N, spec, integrands):
-    """Converged ``{term: integral}`` of ``{term: f(_PlaneTable) -> values}`` times the flat factor rho^{N-2}."""
+# |grad v|^2 and (Lap v)^2 = (lap_x phi psi + phi psi'')^2 times w(y), as (rho factor, y factor) pairs
+def _grad_sq(t, w):
+    return [(t.p1**2, w * t.q**2), (t.p**2, w * t.q1**2)]
+
+
+def _lap_sq(t, w):
+    return [(t.lap_x**2, w * t.q**2), (2.0 * t.lap_x * t.p, w * t.q * t.q2), (t.p**2, w * t.q2**2)]
+
+
+def _plane_integrals(v, N, spec, integrands, y_power=None):
+    """Converged ``{term: integral}`` over rho^{N-2} drho dy of ``{term: f(_PlaneTable) -> pairs}``.
+
+    By Fubini a term is the sum over its pairs (a, b) of int a rho^{N-2} drho
+    times int b dy.  With ``y_power`` p it adds "d2" and "d4", the integrals of
+    v^2 y^-p d^-2 and v^2 y^-p d^-4, from one field on the tensor grid.
+    """
 
     def fn(grid):
-        table = _PlaneTable(v, N, grid.rho, grid.y)
-        rho_pow = grid.rho ** (N - 2)
-        return {key: grid.integrate(make(table) * rho_pow[:, None]) for key, make in integrands.items()}
+        t = _PlaneTable(v, N, grid.rho, grid.y)
+        flat = grid.rho ** (N - 2)
+        wr = grid.wr * flat
+        out = {key: ordered_sum(float(wr @ a) * float(grid.wy @ b) for a, b in make(t)) for key, make in integrands.items()}
+        if y_power is not None:
+            rows, cols = t.p**2 * flat, t.q**2 * grid.y ** -float(y_power)
+            field = _inverse_distance_sq(grid.rho, grid.y)
+            out["d2"] = grid.integrate(field, rows, cols)
+            field *= field
+            out["d4"] = grid.integrate(field, rows, cols)
+        return out
 
     return converge_plane_terms(fn, spec or PlaneQuadratureSpec(), v.box)
 
 
-def _plane_margin(case, v, N, table, spec, tol) -> MarginReport:
-    """Evaluate one inequality table ``{term: (integrand, coef)}`` on v."""
-    vals, errs = _plane_integrals(v, N, spec, {key: make for key, (make, _) in table.items()})
+def _plane_margin(case, v, N, table, spec, tol, y_power=None) -> MarginReport:
+    """Evaluate one inequality table ``{term: (integrand, coef)}`` on v; integrand None marks "d2" and "d4"."""
+    vals, errs = _plane_integrals(v, N, spec, {key: make for key, (make, _) in table.items() if make}, y_power)
     coef = {key: c for key, (_, c) in table.items()}
     return MarginReport.from_integrals(case, v.id, N, vals, errs, coef, tol)
 
 
 def margin_halfspace(
-    which: str,
-    v: SeparableTestFunction,
-    N: int,
-    spec: PlaneQuadratureSpec | None = None,
-    tol: float = 1e-7,
+    which: str, v: SeparableTestFunction, N: int, spec: PlaneQuadratureSpec | None = None, tol: float = 1e-7
 ) -> MarginReport:
     """Margin of one of the two sharpened fourth-order half-space inequalities.
 
@@ -183,39 +200,28 @@ def margin_halfspace(
     bounds v^2/y^4 with remainders v^2/(y^4 d^2), v^2/(y^4 d^4).
     """
     c = halfspace_constants(which, N)
-    if which == "rellich1":
-        table = {
-            "lap2_y2": (lambda t: t.ymesh**2 * t.lap**2, 1),
-            "grad": (lambda t: t.grad_sq, c["grad"]),
-            "y2": (lambda t: t.v**2 / t.ymesh**2, -c["y2"]),
-            "d2": (lambda t: t.v**2 / (t.ymesh**2 * t.dist**2), -c["d2"]),
-            "d4": (lambda t: t.v**2 / (t.ymesh**2 * t.dist**4), -c["d4"]),
-        }
-    else:
-        table = {
-            "lap2": (lambda t: t.lap**2, 1),
-            "grad_y2": (lambda t: t.grad_sq / t.ymesh**2, c["grad"]),
-            "y4": (lambda t: t.v**2 / t.ymesh**4, -c["y4"]),
-            "d2": (lambda t: t.v**2 / (t.ymesh**4 * t.dist**2), -c["d2"]),
-            "d4": (lambda t: t.v**2 / (t.ymesh**4 * t.dist**4), -c["d4"]),
-        }
-    return _plane_margin(f"halfspace_{which}", v, N, table, spec, tol)
+    s = 0.0 if which == "rellich1" else 2.0  # rellich2 carries one more factor y^-2 throughout
+    lap, grad, low = ("lap2_y2", "grad", "y2") if which == "rellich1" else ("lap2", "grad_y2", "y4")
+    table = {
+        lap: (lambda t: _lap_sq(t, t.y ** (2.0 - s)), 1),
+        grad: (lambda t: _grad_sq(t, t.y**-s), c["grad"]),
+        low: (lambda t: [(t.p**2, t.y ** (-2.0 - s) * t.q**2)], -c[low]),
+        "d2": (None, -c["d2"]),
+        "d4": (None, -c["d4"]),
+    }
+    return _plane_margin(f"halfspace_{which}", v, N, table, spec, tol, y_power=2.0 + s)
 
 
 def margin_hardy_mazya(
     v: SeparableTestFunction, N: int, spec: PlaneQuadratureSpec | None = None, tol: float = 1e-7
 ) -> MarginReport:
     """int |grad v|^2 dx dy >= (1/4) int v^2/y^2 dx dy on the half-space."""
-    table = {"grad": (lambda t: t.grad_sq, 1), "y2": (lambda t: t.v**2 / t.ymesh**2, -F(1, 4))}
+    table = {"grad": (lambda t: _grad_sq(t, 1.0), 1), "y2": (lambda t: [(t.p**2, t.q**2 / t.y**2)], -F(1, 4))}
     return _plane_margin("hardy_mazya", v, N, table, spec, tol)
 
 
 def check_pf1(
-    v: SeparableTestFunction,
-    alpha: float,
-    N: int,
-    spec: PlaneQuadratureSpec | None = None,
-    tol: float = 1e-8,
+    v: SeparableTestFunction, alpha: float, N: int, spec: PlaneQuadratureSpec | None = None, tol: float = 1e-8
 ) -> IdentityResidualReport:
     """Energy transplantation for u = y^alpha v, as an integral identity.
 
@@ -226,14 +232,14 @@ def check_pf1(
     """
 
     def energy_u(t):
-        u_rho = t.ymesh**alpha * t.v_rho
-        u_y = alpha * t.ymesh ** (alpha - 1.0) * t.v + t.ymesh**alpha * t.v_y
-        return t.ymesh ** (2.0 - N) * (u_rho**2 + u_y**2)
+        # u_rho = phi' (y^alpha psi) and u_y = phi (alpha y^{alpha-1} psi + y^alpha psi')
+        ya, w = t.y**alpha, t.y ** (2.0 - N)
+        return [(t.p1**2, w * (ya * t.q) ** 2), (t.p**2, w * (alpha * t.y ** (alpha - 1.0) * t.q + ya * t.q1) ** 2)]
 
     integrands = {
         "lhs": energy_u,
-        "grad_v": lambda t: t.ymesh ** (2.0 * alpha + 2.0 - N) * t.grad_sq,
-        "v2": lambda t: t.ymesh ** (2.0 * alpha - N) * t.v**2,
+        "grad_v": lambda t: _grad_sq(t, t.y ** (2.0 * alpha + 2.0 - N)),
+        "v2": lambda t: [(t.p**2, t.y ** (2.0 * alpha - N) * t.q**2)],
     }
     vals, _ = _plane_integrals(v, N, spec, integrands)
     lhs = vals["lhs"]
@@ -257,28 +263,25 @@ def check_pf2(
     rho_hi, y_lo, y_hi = v.box
     y = _chebyshev(y_lo, y_hi, counts[1])
     t = _PlaneTable(v, N, _chebyshev(0.0, rho_hi, counts[0]), y)
-    ym = y[None, :]
+    ym, p = y[None, :], t.p[:, None]
+    vv, v_y, v_yy, lap_x_v = p * t.q, p * t.q1, p * t.q2, t.lap_x[:, None] * t.q
+    lap = lap_x_v + v_yy
 
     # left side from derivatives of u = y^alpha v itself
-    u_y = alpha * ym ** (alpha - 1.0) * t.v + ym**alpha * t.v_y
+    u_y = alpha * ym ** (alpha - 1.0) * vv + ym**alpha * v_y
     u_yy = (
-        alpha * (alpha - 1.0) * ym ** (alpha - 2.0) * t.v
-        + 2.0 * alpha * ym ** (alpha - 1.0) * t.v_y
-        + ym**alpha * t.v_yy
+        alpha * (alpha - 1.0) * ym ** (alpha - 2.0) * vv
+        + 2.0 * alpha * ym ** (alpha - 1.0) * v_y
+        + ym**alpha * v_yy
     )
-    lap_u = ym**alpha * t.lap_x_v + u_yy
+    lap_u = ym**alpha * lap_x_v + u_yy
     lhs = ym**2 * lap_u - (N - 2) * ym * u_y
 
-    rhs = (
-        ym ** (alpha + 2.0) * t.lap
-        + (2.0 * alpha - (N - 2)) * ym ** (alpha + 1.0) * t.v_y
-        + alpha * (alpha - (N - 1.0)) * ym**alpha * t.v
-    )
-    rhs_flat_mid = (
-        ym ** (alpha + 2.0) * t.lap
-        + (2.0 * alpha - (N - 2)) * ym**alpha * t.v_y
-        + alpha * (alpha - (N - 1.0)) * ym**alpha * t.v
-    )
+    def rhs_with(mid):  # the right side with middle power y^mid
+        middle = (2.0 * alpha - (N - 2)) * ym**mid * v_y
+        return ym ** (alpha + 2.0) * lap + middle + alpha * (alpha - (N - 1.0)) * ym**alpha * vv
+
+    rhs, rhs_flat_mid = rhs_with(alpha + 1.0), rhs_with(alpha)
     scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
     flat_abs = float(np.max(np.abs(lhs - rhs_flat_mid)))
     details = {"alpha": alpha, "flat_middle_max_rel": flat_abs / scale if scale > 0 else 0.0}

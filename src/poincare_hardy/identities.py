@@ -25,7 +25,7 @@ from .jets import coth
 from .profiles import RadialProfile
 from .operators import laplace_radial, to_v_transform
 from .quadrature import QuadratureSpec, _chebyshev, converge_terms
-from .reports import IdentityResidualReport, MarginReport
+from .reports import IdentityResidualReport, MarginReport, ordered_sum
 
 __all__ = [
     "identity_sample_points",
@@ -135,14 +135,8 @@ def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
 
 
 def _combine(vals: dict, coef: dict) -> float:
-    """Sum of ``float(c) * vals[key]`` over the table, added left to right.
-
-    A plain loop: ``sum`` compensates float rounding from Python 3.12 on.
-    """
-    total = 0.0
-    for key, c in coef.items():
-        total += float(c) * vals[key]
-    return total
+    """Sum of ``float(c) * vals[key]`` over the table, added left to right."""
+    return ordered_sum(float(c) * vals[key] for key, c in coef.items())
 
 
 def _estimate1_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
@@ -247,7 +241,7 @@ def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | N
     hardy = poincare_constant(CaseSpec(2, 1, N))
     for lemma, weight in (("rellich", 1), ("hardy", hardy), ("sinh", F((N - 1) * (N - 3), 2))):
         pieces[f"slack_{lemma}"] = float(weight) * _combine(vals, _LEMMAS[f"hardy1d_{lemma}"])
-    recomposed = sum(pieces.values())
+    recomposed = ordered_sum(pieces.values())
     scale = abs(margin_direct) + abs(recomposed)
     out = {
         "margin_direct": margin_direct,

@@ -29,6 +29,14 @@ __all__ = [
 ]
 
 
+def ordered_sum(values) -> float:
+    """Sum added left to right, as a plain loop: builtin ``sum`` compensates float rounding from Python 3.12 on."""
+    total = 0.0
+    for x in values:
+        total += x
+    return float(total)
+
+
 def encode_fraction(x: Fraction) -> dict:
     """Exact rational as strings plus a float approximation for reading."""
     return {"num": str(x.numerator), "den": str(x.denominator), "decimal": float(x)}
@@ -57,20 +65,20 @@ class MarginReport:
         if all(vals[key] == 0.0 for key in coef):
             raise ValueError(f"{case}: every term integral of {function_id} is 0; it vanishes on the quadrature grid")
         terms = {key: float(c) * vals[key] for key, c in coef.items()}
-        noise = float(sum(abs(float(c)) * errs[key] for key, c in coef.items()))
+        noise = ordered_sum(abs(float(c)) * errs[key] for key, c in coef.items())
         return cls(case=case, function_id=function_id, N=N, terms=terms, noise=noise, tol=tol)
 
     @property
     def margin(self) -> float:
-        return float(sum(self.terms.values()))
+        return ordered_sum(self.terms.values())
 
     @property
     def lhs(self) -> float:
-        return float(sum(v for v in self.terms.values() if v > 0))
+        return ordered_sum(v for v in self.terms.values() if v > 0)
 
     @property
     def rhs(self) -> float:
-        return -float(sum(v for v in self.terms.values() if v < 0))
+        return -ordered_sum(v for v in self.terms.values() if v < 0)
 
     @property
     def scale(self) -> float:
@@ -132,6 +140,9 @@ class IdentityResidualReport:
         """Residuals of ``lhs == rhs``, given as scalars or as arrays over sample points."""
         lhs = np.asarray(lhs, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
+        # a nan residual would compare below every tolerance and certify nothing
+        if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
+            raise FloatingPointError(f"{identity} on {function_id}: a side of the identity is not finite")
         max_abs = float(np.max(np.abs(lhs - rhs)))
         scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
         return cls(
@@ -177,39 +188,25 @@ class IdentityResidualReport:
         )
 
 
+def _long_rows(label: str, N: int | None, function_id: str, items) -> list[tuple[str, str, str, str, str]]:
+    """Long-format rows (label, N, function_id, name, value), one per ``(name, value)`` item."""
+    n_str = "" if N is None else str(N)
+    return [(label, n_str, function_id, name, repr(value)) for name, value in items]
+
+
 def margin_csv_rows(report: MarginReport) -> list[tuple[str, str, str, str, str]]:
-    """Long-format rows (case, N, function_id, term_name, value)."""
-    n_str = "" if report.N is None else str(report.N)
-    rows = [
-        (report.case, n_str, report.function_id, name, repr(value))
-        for name, value in sorted(report.terms.items())
-    ]
-    for name, value in [
-        ("lhs", report.lhs),
-        ("rhs", report.rhs),
-        ("margin", report.margin),
-        ("scale", report.scale),
-        ("noise", report.noise),
-        ("verdict", float(report.verdict)),
-    ]:
-        rows.append((report.case, n_str, report.function_id, name, repr(value)))
-    return rows
+    """Rows (case, N, function_id, term_name, value): the sorted terms, then the summary."""
+    r = report
+    summary = [("lhs", r.lhs), ("rhs", r.rhs), ("margin", r.margin), ("scale", r.scale), ("noise", r.noise)]
+    return _long_rows(r.case, r.N, r.function_id, [*sorted(r.terms.items()), *summary, ("verdict", float(r.verdict))])
 
 
 def identity_csv_rows(report: IdentityResidualReport) -> list[tuple[str, str, str, str, str]]:
-    n_str = str(report.N)
-    label = report.identity if report.n is None else f"{report.identity}_n{report.n}"
-    rows = [
-        (label, n_str, report.function_id, name, repr(value))
-        for name, value in sorted(report.details.items())
-    ]
-    for name, value in [
-        ("max_abs_residual", report.max_abs_residual),
-        ("max_rel_residual", report.max_rel_residual),
-        ("verdict", float(report.verdict)),
-    ]:
-        rows.append((label, n_str, report.function_id, name, repr(value)))
-    return rows
+    """Rows labelled with the identity and its mode n: the sorted details, then the residuals."""
+    r = report
+    label = r.identity if r.n is None else f"{r.identity}_n{r.n}"
+    summary = [("max_abs_residual", r.max_abs_residual), ("max_rel_residual", r.max_rel_residual)]
+    return _long_rows(label, r.N, r.function_id, [*sorted(r.details.items()), *summary, ("verdict", float(r.verdict))])
 
 
 def dumps_json(payload: dict) -> str:

@@ -159,6 +159,8 @@ def sharpness_probe(case: str, N: int = 5, params=None, spec: QuadratureSpec | N
         rates = params if params is not None else [(N - 1) / 2.0 * f for f in _SHARPNESS_RATES]
         rows = []
         for a in rates:
+            if not np.isfinite(a):
+                raise HypothesisError(f"decay rate {a} is not finite")
             eps = 2.0 * a - (N - 1)
             if eps <= 0:
                 raise HypothesisError(f"decay rate {a} is not above (N-1)/2 = {(N - 1) / 2}")
@@ -168,6 +170,8 @@ def sharpness_probe(case: str, N: int = 5, params=None, spec: QuadratureSpec | N
             def fn(grid, a=a, chi=chi):
                 r = grid.nodes
                 env = np.exp(-2.0 * a * r + (N - 1) * log_sinh(r))
+                if not env.any():
+                    raise HypothesisError(f"decay rate {a}: exp(-2 a r) sinh^{N - 1} r underflows to 0 on every node")
                 jet = chi.jet(r, 1)
                 c, dc = jet.value(), jet.derivative(1)
                 return {

@@ -77,6 +77,16 @@ def test_nonfinite_json_exits_2(argv, capsys):
     assert err.startswith("numerical failure:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("which", ["pf1", "pf2"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_nonfinite_identity_side_exits_2(which, fmt, capsys):
+    # y^alpha overflows, so the sides are inf or nan; a nan residual must not PASS
+    code, out, err = run(["halfspace", "--which", which, "--alpha", "1e308", "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("numerical failure:") and "not finite" in err and "Traceback" not in err
+
+
 def test_measure_overflow_exits_2(capsys):
     # sinh^159 overflows past r = 690/159 = 4.34; the suite's bump_c3.5_w1.0
     # reaches 4.5, and only nodes inside a support are evaluated
@@ -242,6 +252,15 @@ def test_sharpness_bad_rate_exits_64(capsys):
     code, _, err = run(["sharpness", "--case", "poincare_k1", "--N", "5", "--params", "1.5"], capsys)
     assert code == 64
     assert "not above" in err
+
+
+@pytest.mark.parametrize("rate", ["inf", "1e300", "nan"])
+def test_sharpness_nonfinite_or_underflowing_rate_exits_64(rate, capsys):
+    # inf and nan are not rates; at 1e300 the weight exp(-2 a r) is 0 on every node
+    code, out, err = run(["sharpness", "--case", "poincare_k1", "--N", "5", f"--params={rate}"], capsys)
+    assert code == 64
+    assert out == ""
+    assert err.startswith("error: decay rate") and "Traceback" not in err
 
 
 def test_halfspace_subcommand_margin(capsys):

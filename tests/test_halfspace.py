@@ -19,6 +19,7 @@ from poincare_hardy import (
     margin_halfspace,
     margin_hardy_mazya,
 )
+from poincare_hardy import halfspace
 from poincare_hardy.halfspace import _PlaneTable, build_plane_grid, converge_plane_terms
 
 from _oracles import central_diff, trapezoid_plane
@@ -67,7 +68,8 @@ def test_euclid_laplacian_matches_differences():
     N = 5
     rho = np.linspace(1.1, 1.9, 7)
     y = np.linspace(0.6, 1.4, 5)
-    got = _PlaneTable(v, N, rho, y).lap
+    t = _PlaneTable(v, N, rho, y)
+    got = np.multiply.outer(t.lap_x, t.q) + np.multiply.outer(t.p, t.q2)
     phi, psi = v.phi, v.psi
     phi_dd = central_diff(lambda x: phi.jet(x, 1).derivative(1), rho)
     phi_d = central_diff(phi, rho)
@@ -76,6 +78,65 @@ def test_euclid_laplacian_matches_differences():
         phi(rho), psi_dd
     )
     assert np.max(np.abs(got - want)) / np.max(np.abs(got)) < 1e-5
+
+
+def _tensor_terms(which, v, N, grid, alpha=None):
+    """Every term of ``which`` on one grid as the full 2-D integrand: outer products times rho^{N-2}."""
+    outer = np.multiply.outer
+    pj, qj = v.phi.jet(grid.rho, 2), v.psi.jet(grid.y, 2)
+    vv = outer(pj.value(), qj.value())
+    v_rho = outer(pj.derivative(1), qj.value())
+    v_y = outer(pj.value(), qj.derivative(1))
+    lap_x = pj.derivative(2) + (N - 2) * pj.derivative(1) / grid.rho
+    lap = outer(lap_x, qj.value()) + outer(pj.value(), qj.derivative(2))
+    grad_sq = v_rho**2 + v_y**2
+    y = np.broadcast_to(grid.y, vv.shape)
+    d2 = np.arccosh(1.0 + ((grid.y[None, :] - 1.0) ** 2 + grid.rho[:, None] ** 2) / (2.0 * grid.y[None, :])) ** 2
+    if which == "rellich1":
+        f = {"lap2_y2": y**2 * lap**2, "grad": grad_sq, "y2": vv**2 / y**2}
+        f.update(d2=vv**2 / (y**2 * d2), d4=vv**2 / (y**2 * d2**2))
+    elif which == "rellich2":
+        f = {"lap2": lap**2, "grad_y2": grad_sq / y**2, "y4": vv**2 / y**4}
+        f.update(d2=vv**2 / (y**4 * d2), d4=vv**2 / (y**4 * d2**2))
+    elif which == "hardy_mazya":
+        f = {"grad": grad_sq, "y2": vv**2 / y**2}
+    else:
+        u_y = alpha * y ** (alpha - 1.0) * vv + y**alpha * v_y
+        f = {
+            "lhs": y ** (2.0 - N) * ((y**alpha * v_rho) ** 2 + u_y**2),
+            "grad_v": y ** (2.0 * alpha + 2.0 - N) * grad_sq,
+            "v2": y ** (2.0 * alpha - N) * vv**2,
+        }
+    rho_pow = grid.rho ** (N - 2)
+    return {key: grid.integrate(values * rho_pow[:, None]) for key, values in f.items()}
+
+
+@pytest.mark.parametrize("which", ["rellich1", "rellich2", "hardy_mazya", "pf1"])
+@pytest.mark.parametrize("suite", ["standard", "pole"])
+def test_separable_terms_match_tensor_integrand(which, suite, monkeypatch):
+    # capture the per-grid terms of the Fubini route at refine 0 and 1
+    seen = []
+
+    def two_grids(fn, spec, box):
+        for refine in (0, 1):
+            grid = build_plane_grid(spec, box, refine)
+            seen.append((grid, fn(grid)))
+        return seen[-1][1], {key: 0.0 for key in seen[-1][1]}
+
+    monkeypatch.setattr(halfspace, "converge_plane_terms", two_grids)
+    v, N, alpha = halfspace_suite(suite)[0], 5, 1.25
+    if which == "pf1":
+        check_pf1(v, alpha, N)
+    elif which == "hardy_mazya":
+        margin_hardy_mazya(v, N)
+    else:
+        margin_halfspace(which, v, N)
+    assert len(seen) == 2
+    for grid, got in seen:
+        want = _tensor_terms(which, v, N, grid, alpha)
+        assert got.keys() == want.keys()
+        for key, value in want.items():
+            assert abs(got[key] - value) <= 1e-13 * abs(value), (grid.refine, key)
 
 
 def test_rellich1_terms_match_trapezoid_oracle():

@@ -1,5 +1,7 @@
 """Margin certificates: verdicts, homogeneity, guards, sharpness probes."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,8 @@ from poincare_hardy import (
     sharpness_probe,
 )
 
+from poincare_hardy.reports import MarginReport, ordered_sum
+
 from _oracles import SHARPNESS_A21_N5
 
 
@@ -31,6 +35,14 @@ def test_margin_report_contents():
     assert r.margin == pytest.approx(sum(r.terms.values()))
     assert r.verdict and r.margin > 0.0
     assert r.noise < 1e-8 * r.scale
+
+
+def test_report_sums_run_left_to_right():
+    # a compensated sum (math.fsum, or builtin sum from Python 3.12 on) gives 1.0
+    r = MarginReport("c", "f", 5, {"a": 1e16, "b": 1.0, "c": -1e16}, 0.0, 1e-8)
+    assert r.margin == 0.0
+    assert r.lhs == 1e16 and r.rhs == 1e16
+    assert ordered_sum([1e16, 1.0, -1e16]) == 0.0 != math.fsum([1e16, 1.0, -1e16])
 
 
 def test_zero_function_is_rejected():
