@@ -38,21 +38,21 @@ __all__ = [
 ]
 
 
-def identity_sample_points(u: RadialProfile, count: int = 50, margin: float = 0.01) -> np.ndarray:
+def identity_sample_points(u: RadialProfile, count: int = 50) -> np.ndarray:
     """Chebyshev points inside the support, excluding a relative margin at each end."""
     if u.support is None:
         raise ValueError("pointwise identity checks need a compactly supported profile")
-    return _chebyshev(*u.support, count, margin)
+    return _chebyshev(*u.support, count)
 
 
-def check_ph1(u: RadialProfile, N: int, count: int = 50, tol: float = 1e-10) -> IdentityResidualReport:
+def check_ph1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualReport:
     """|grad u|^2 against its form in v = sinh^{(N-1)/2} u, pointwise.
 
     sinh^{N-1}(r) |grad u|^2 = (v')^2 + ((N-1)^2/4) coth^2(r) v^2
     - (N-1) coth(r) v v', checked on a Chebyshev grid with independent jet
     pipelines for the two sides.
     """
-    r = identity_sample_points(u, count)
+    r = identity_sample_points(u)
     lhs = u.jet(r, 1).derivative(1) ** 2
     w = to_v_transform(u, N, r, 1)
     v, dv = w.value(), w.derivative(1)
@@ -61,12 +61,12 @@ def check_ph1(u: RadialProfile, N: int, count: int = 50, tol: float = 1e-10) -> 
     return IdentityResidualReport.from_sides("ph1", u.id, N, None, lhs, rhs, tol)
 
 
-def check_trans1(u: RadialProfile, N: int, count: int = 50, tol: float = 1e-10) -> IdentityResidualReport:
+def check_trans1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualReport:
     """The radial Laplacian against its v-side form, pointwise.
 
     Lap u = sinh^{-(N-1)/2}(r) [v'' - (((N-1)(N-3)/4) coth^2(r) + (N-1)/2) v].
     """
-    r = identity_sample_points(u, count)
+    r = identity_sample_points(u)
     lhs = laplace_radial(u, N, r, order=0).value()
     w = to_v_transform(u, N, r, 2)
     v, ddv = w.value(), w.derivative(2)

@@ -9,7 +9,8 @@ grid.  This is what lets the verifier evaluate iterated Laplacians of a test
 function without symbolic differentiation or finite-difference noise.
 
 Coefficients live in an ``(..., order+1)`` float array whose last axis is the
-Taylor order, so every rule below is a handful of vectorized convolutions.
+Taylor order; no other module reads that layout.  Products are convolutions
+along it, and reciprocal, exp and power share one series recurrence.
 """
 
 from __future__ import annotations
@@ -107,41 +108,43 @@ class Jet:
 
     def reciprocal(self) -> "Jet":
         """Jet of 1/f; requires f nonzero on the grid."""
-        a = self.coef
-        n = self.order
-        out = np.zeros_like(a)
-        inv0 = 1.0 / a[..., 0]
-        out[..., 0] = inv0
-        for k in range(1, n + 1):
-            acc = np.einsum("...i,...i->...", a[..., 1 : k + 1], out[..., k - 1 :: -1])
-            out[..., k] = -inv0 * acc
-        return Jet(out)
+        inv0 = 1.0 / self.value()
+        return self._recurrence(inv0, None, lambda acc, k: -inv0 * acc)
 
     def exp(self) -> "Jet":
         """Jet of exp(f), by the standard recurrence e_k = (1/k) sum i*a_i*e_{k-i}."""
-        a = self.coef
-        n = self.order
-        out = np.zeros_like(a)
-        out[..., 0] = np.exp(a[..., 0])
-        i = np.arange(1, n + 1, dtype=float)
-        for k in range(1, n + 1):
-            acc = np.einsum("...i,...i->...", i[:k] * a[..., 1 : k + 1], out[..., k - 1 :: -1])
-            out[..., k] = acc / k
-        return Jet(out)
+        return self._recurrence(np.exp(self.value()), lambda i, k: i, lambda acc, k: acc / k)
 
     def power(self, alpha: float) -> "Jet":
         """Jet of f**alpha; requires f > 0 on the grid (general real alpha)."""
+        a0 = self.value()
+        return self._recurrence(a0**alpha, lambda i, k: i * (alpha + 1.0) - k, lambda acc, k: acc / (k * a0))
+
+    def _recurrence(self, first, weights, finish) -> "Jet":
+        """The series recurrence out_k = finish(sum_{i=1..k} w_{k,i} a_i out_{k-i}, k), out_0 = first.
+
+        ``weights(i, k)`` gives w_{k,i} over the float array i = 1..k; None means
+        all ones and skips the product.
+        """
         a = self.coef
-        n = self.order
         out = np.zeros_like(a)
-        a0 = a[..., 0]
-        out[..., 0] = a0**alpha
-        for k in range(1, n + 1):
-            i = np.arange(1, k + 1, dtype=float)
-            w = i * (alpha + 1.0) - k
-            acc = np.einsum("...i,...i->...", w * a[..., 1 : k + 1], out[..., k - 1 :: -1])
-            out[..., k] = acc / (k * a0)
+        out[..., 0] = first
+        i = np.arange(1, self.order + 1, dtype=float)
+        for k in range(1, self.order + 1):
+            head = a[..., 1 : k + 1]
+            acc = np.einsum("...i,...i->...", head if weights is None else weights(i[:k], k) * head, out[..., k - 1 :: -1])
+            out[..., k] = finish(acc, k)
         return Jet(out)
+
+    def where(self, mask: np.ndarray) -> "Jet":
+        """This jet where ``mask`` holds, the zero jet elsewhere."""
+        return Jet(np.where(mask[..., None], self.coef, 0.0))
+
+    def with_value(self, value: np.ndarray) -> "Jet":
+        """This jet with its order-0 coefficient replaced by ``value``."""
+        coef = self.coef.copy()
+        coef[..., 0] = value
+        return Jet(coef)
 
 
 def variable(x: np.ndarray, order: int) -> Jet:
@@ -160,23 +163,23 @@ def constant(c, shape: tuple[int, ...], order: int) -> Jet:
     return Jet(coef)
 
 
-def sinh_jet(x: np.ndarray, order: int) -> Jet:
-    """Jet of sinh at the points x, from the closed-form derivative cycle."""
+def _cycle_jet(x: np.ndarray, order: int, even, odd) -> Jet:
+    """Jet of a function whose derivatives cycle even, odd, even, ... (sinh and cosh)."""
     x = np.asarray(x, dtype=float)
-    s, c = np.sinh(x), np.cosh(x)
+    cycle = (even(x), odd(x))
     coef = np.empty(x.shape + (order + 1,))
     for j in range(order + 1):
-        coef[..., j] = (s if j % 2 == 0 else c) / math.factorial(j)
+        coef[..., j] = cycle[j % 2] / math.factorial(j)
     return Jet(coef)
+
+
+def sinh_jet(x: np.ndarray, order: int) -> Jet:
+    """Jet of sinh at the points x, from the closed-form derivative cycle."""
+    return _cycle_jet(x, order, np.sinh, np.cosh)
 
 
 def cosh_jet(x: np.ndarray, order: int) -> Jet:
-    x = np.asarray(x, dtype=float)
-    s, c = np.sinh(x), np.cosh(x)
-    coef = np.empty(x.shape + (order + 1,))
-    for j in range(order + 1):
-        coef[..., j] = (c if j % 2 == 0 else s) / math.factorial(j)
-    return Jet(coef)
+    return _cycle_jet(x, order, np.cosh, np.sinh)
 
 
 def coth_jet(x: np.ndarray, order: int) -> Jet:

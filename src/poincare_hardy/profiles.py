@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -38,26 +39,6 @@ __all__ = [
 _EDGE = 1e-12
 
 
-def _select(mask: np.ndarray, inside: Jet) -> Jet:
-    coef = np.where(mask[..., None], inside.coef, 0.0)
-    return Jet(coef)
-
-
-def _replace_value(jet: Jet, value: np.ndarray) -> Jet:
-    coef = jet.coef.copy()
-    coef[..., 0] = value
-    return Jet(coef)
-
-
-def _int_power(jet: Jet, power: int) -> Jet:
-    out = None
-    for _ in range(power):
-        out = jet if out is None else out * jet
-    if out is None:
-        return Jet(np.concatenate([np.ones_like(jet.coef[..., :1]), np.zeros_like(jet.coef[..., 1:])], axis=-1))
-    return out
-
-
 def _smoothstep(t: Jet) -> Jet:
     """Jet of S(t) = sigma(t)/(sigma(t)+sigma(1-t)), sigma(t) = exp(-1/t).
 
@@ -69,14 +50,12 @@ def _smoothstep(t: Jet) -> Jet:
     lo = v <= 1e-8
     hi = v >= 1.0 - 1e-8
     mid = ~(lo | hi)
-    ts = _replace_value(t, np.where(mid, v, 0.5))
+    ts = t.with_value(np.where(mid, v, 0.5))
     sig = (-ts.reciprocal()).exp()
     one_minus = -ts + 1.0
     sig_c = (-one_minus.reciprocal()).exp()
-    s = sig / (sig + sig_c)
-    coef = np.where(mid[..., None], s.coef, 0.0)
-    coef[..., 0] = np.where(hi, 1.0, coef[..., 0])
-    return Jet(coef)
+    s = (sig / (sig + sig_c)).where(mid)
+    return s.with_value(np.where(hi, 1.0, s.value()))
 
 
 class RadialProfile:
@@ -109,6 +88,8 @@ class Bump(RadialProfile):
     def __post_init__(self):
         if not (self.width > 0.0 and self.center + self.width > 0.0):
             raise ValueError(f"bump needs width > 0 and center + width > 0, got {self.id}")
+        if type(self.power) is not int or self.power < 0:
+            raise ValueError(f"bump power must be an int >= 0, got {self.power!r}")
 
     @property
     def support(self) -> tuple[float, float]:
@@ -123,11 +104,11 @@ class Bump(RadialProfile):
         rj = variable(r, order)
         t = (rj - self.center) * (1.0 / self.width)
         inside = np.abs(t.value()) < 1.0 - _EDGE
-        ts = _replace_value(t, np.where(inside, t.value(), 0.0))
+        ts = t.with_value(np.where(inside, t.value(), 0.0))
         core = (-(-(ts * ts) + 1.0).reciprocal()).exp()
         if self.power:
-            core = core * _int_power(rj, self.power)
-        return _select(inside, core)
+            core = core * functools.reduce(operator.mul, [rj] * self.power)
+        return core.where(inside)
 
 
 @dataclass(frozen=True)

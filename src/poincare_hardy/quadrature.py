@@ -6,8 +6,9 @@ compactly supported ``g``, a possibly singular weight ``w`` (powers of 1/r or
 integrals, 1 for the reduced one-dimensional ones).  Panels are placed
 geometrically toward the origin so the 1/r^{2j} weights meet enough nodes
 where they are large; convergence is certified by doubling the panel count
-and comparing.  The panel rule, the doubling loop, the spec checks and the
-Chebyshev sampler here are shared with the half-space tensor grid.
+and comparing.  The panel rule, the doubling loop, the spec (which the plane
+spec subclasses) and the Chebyshev sampler here are shared with the
+half-space tensor grid.
 
 A compactly supported ``g`` is zero on most of the grid, so callers evaluate
 it only on the contiguous run of nodes strictly inside its support
@@ -37,14 +38,6 @@ __all__ = [
 ]
 
 
-def _check_spec(spec) -> None:
-    """Reject grids that are empty or budgets that run no evaluation."""
-    if spec.panels < 1 or spec.nodes_per_panel < 1:
-        raise QuadratureError("panels and nodes_per_panel must be positive")
-    if spec.max_doublings < 0:
-        raise QuadratureError(f"max_doublings must be nonnegative, got {spec.max_doublings}")
-
-
 @dataclass(frozen=True)
 class QuadratureSpec:
     """Integration policy for radial integrals on (0, r_max].
@@ -61,7 +54,11 @@ class QuadratureSpec:
     max_doublings: int = 4
 
     def __post_init__(self):
-        _check_spec(self)
+        """Reject grids that are empty or budgets that run no evaluation."""
+        if self.panels < 1 or self.nodes_per_panel < 1:
+            raise QuadratureError("panels and nodes_per_panel must be positive")
+        if self.max_doublings < 0:
+            raise QuadratureError(f"max_doublings must be nonnegative, got {self.max_doublings}")
 
 
 class Grid:
@@ -129,10 +126,14 @@ def build_grid(spec: QuadratureSpec, r_max: float, refine: int = 0) -> Grid:
     return _cached_grid(spec, float(r_max), refine)
 
 
-def _chebyshev(lo: float, hi: float, count: int, margin: float = 0.01) -> np.ndarray:
+# share of [lo, hi] that Chebyshev samples leave out at each end
+_CHEBYSHEV_MARGIN = 0.01
+
+
+def _chebyshev(lo: float, hi: float, count: int) -> np.ndarray:
     """Chebyshev points in [lo, hi], excluding a relative margin at each end."""
     span = hi - lo
-    lo, hi = lo + margin * span, hi - margin * span
+    lo, hi = lo + _CHEBYSHEV_MARGIN * span, hi - _CHEBYSHEV_MARGIN * span
     j = np.arange(count)
     x = np.cos((2 * j + 1) * np.pi / (2 * count))
     return 0.5 * (lo + hi) + 0.5 * (hi - lo) * x

@@ -137,12 +137,18 @@ class IdentityResidualReport:
 
     @classmethod
     def from_sides(cls, identity, function_id, N, n, lhs, rhs, tol, details=None) -> "IdentityResidualReport":
-        """Residuals of ``lhs == rhs``, given as scalars or as arrays over sample points."""
+        """Residuals of ``lhs == rhs``, given as scalars or as arrays over sample points.
+
+        Raises ValueError when both sides are identically 0: the identity
+        then holds on the zero function, and a residual of 0 certifies nothing.
+        """
         lhs = np.asarray(lhs, dtype=float)
         rhs = np.asarray(rhs, dtype=float)
         # a nan residual would compare below every tolerance and certify nothing
         if not (np.isfinite(lhs).all() and np.isfinite(rhs).all()):
             raise FloatingPointError(f"{identity} on {function_id}: a side of the identity is not finite")
+        if not (lhs.any() or rhs.any()):
+            raise ValueError(f"{identity}: both sides are identically 0; {function_id} vanishes where it is evaluated")
         max_abs = float(np.max(np.abs(lhs - rhs)))
         scale = float(max(np.max(np.abs(lhs)), np.max(np.abs(rhs))))
         return cls(
@@ -151,7 +157,7 @@ class IdentityResidualReport:
             N=N,
             n=n,
             max_abs_residual=max_abs,
-            max_rel_residual=max_abs / scale if scale > 0 else 0.0,
+            max_rel_residual=max_abs / scale,
             tol=tol,
             details=dict(details or {}),
         )

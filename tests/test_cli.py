@@ -98,7 +98,11 @@ def test_measure_overflow_exits_2(capsys):
 
 def test_zero_function_exits_64(capsys, monkeypatch):
     monkeypatch.setattr(cli, "load_suite", lambda name: (Bump(1.0, 1e-13),))
-    for argv in (["verify", "--case", "poincare", "--N", "5"], ["verify", "--case", "hardy1d"]):
+    for argv in (
+        ["verify", "--case", "poincare", "--N", "5"],
+        ["verify", "--case", "hardy1d"],
+        ["identity", "--which", "estimate1", "--N", "5", "--n", "0"],
+    ):
         code, out, err = run(argv, capsys)
         assert code == 64
         assert out == ""

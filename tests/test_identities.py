@@ -10,7 +10,16 @@ term misses by an O(1) relative residual even on smooth members.
 import numpy as np
 import pytest
 
-from poincare_hardy import Bump, QuadratureSpec, Scaled, identities, load_suite
+from poincare_hardy import (
+    Bump,
+    QuadratureSpec,
+    Scaled,
+    SeparableTestFunction,
+    check_pf1,
+    check_pf2,
+    identities,
+    load_suite,
+)
 from poincare_hardy.identities import (
     check_1d_lemmas,
     check_estimate1,
@@ -84,6 +93,28 @@ def test_estimate1_residual_scale_invariant():
     scaled = check_estimate1(Scaled(u, 37.0), 1, 7)
     # both sides are quadratic in d, so the relative residual is unchanged
     assert abs(scaled.max_rel_residual - base.max_rel_residual) < 1e-12
+
+
+_ZERO = Scaled(Bump(2.0, 1.0, 1), 0.0)
+_ZERO_PLANE = SeparableTestFunction(_ZERO, Bump(1.5, 0.5))
+
+
+@pytest.mark.parametrize(
+    "check",
+    [
+        lambda: check_ph1(_ZERO, 5),
+        lambda: check_trans1(_ZERO, 5),
+        lambda: check_estimate1(_ZERO, 1, 7),
+        lambda: check_estimate2(_ZERO, 1, 7),
+        lambda: check_pf1(_ZERO_PLANE, 1.5, 5),
+        lambda: check_pf2(_ZERO_PLANE, 1.5, 5),
+    ],
+    ids=["ph1", "trans1", "estimate1", "estimate2", "pf1", "pf2"],
+)
+def test_identity_on_zero_function_is_rejected(check):
+    # both sides are exactly 0, so a residual of 0 would certify nothing
+    with pytest.raises(ValueError, match="identically 0"):
+        check()
 
 
 def test_estimate2_printed_sign_variant_fails():
