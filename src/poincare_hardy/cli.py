@@ -14,6 +14,7 @@ or internal failure, 64 usage or hypothesis error.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -32,7 +33,7 @@ from .halfspace import (
 from .identities import check_1d_lemmas, check_estimate1, check_estimate2, check_ph1, check_trans1
 from .profiles import load_suite, suite_version
 from .quadrature import QuadratureSpec
-from .reports import dumps_csv, dumps_json, encode_fraction, identity_csv_rows, margin_csv_rows
+from .reports import MarginReport, dumps_csv, dumps_json, encode_fraction, identity_csv_rows, margin_csv_rows
 from .verify import (
     margin_general,
     margin_thm21,
@@ -74,6 +75,16 @@ def _build_parser() -> _Parser:
         value = float(text)
         if not 0.0 < value < 1.0:
             raise argparse.ArgumentTypeError(f"must satisfy 0 < tol < 1, got {text!r}")
+        return value
+
+    def finite(text):
+        """A power alpha: a non-finite one comes from the command line, so it is a usage error."""
+        try:
+            value = float(text)
+        except ValueError:  # argparse's own message for type=float
+            raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
         return value
 
     def add_tol(p):
@@ -125,7 +136,7 @@ def _build_parser() -> _Parser:
     h = sub.add_parser("halfspace", help="half-space corollaries and transplantation identities")
     h.add_argument("--which", choices=("rellich1", "rellich2", "hardy_mazya", "pf1", "pf2"), required=True)
     h.add_argument("--N", type=int, default=5, help="dimension (default 5)")
-    h.add_argument("--alpha", type=float, action="append", default=None, help="power(s) for pf1/pf2")
+    h.add_argument("--alpha", type=finite, action="append", default=None, help="power(s) for pf1/pf2")
     h.add_argument("--suite", default="standard", help="half-space suite name")
     add_tol(h)
     add_quad(h)
@@ -191,64 +202,75 @@ def _identity_line(r) -> str:
     )
 
 
-def _finish_reports(command, extra, reports, suite_name, rows_fn, line_fn):
+# command -> {name: (u, args, spec, **tol) -> reports of one test function}.  The
+# lambdas look the checks up at call time, so a wrapper installed on this module's
+# names sees every call.  ``tol`` is given only with --tol: defaults live in the checks.
+_CHECKS = {
+    "verify": {
+        "thm21": lambda u, a, spec, **tol: [margin_thm21(u, a.N, spec, **tol)],
+        "rellich": lambda u, a, spec, **tol: [margin_rellich(u, a.N, spec, **tol)],
+        "poincare": lambda u, a, spec, **tol: [margin_poincare_hardy(u, a.N, spec, **tol)],
+        "yang": lambda u, a, spec, **tol: [margin_yang(u, a.N, a.beta, spec, **tol)],
+        "general": lambda u, a, spec, **tol: [margin_general(CaseSpec(a.k, a.l, a.N), u, spec, **tol)],
+        "hardy1d": lambda u, a, spec, **tol: check_1d_lemmas(u, spec, **tol),
+    },
+    "identity": {
+        "ph1": lambda u, a, spec, **tol: [check_ph1(u, a.N, **tol)],
+        "trans1": lambda u, a, spec, **tol: [check_trans1(u, a.N, **tol)],
+        "estimate1": lambda u, a, spec, **tol: [check_estimate1(u, a.n, a.N, spec, **tol)],
+        "estimate2": lambda u, a, spec, **tol: [check_estimate2(u, a.n, a.N, spec, **tol)],
+    },
+    "halfspace": {
+        "rellich1": lambda v, a, spec, **tol: [margin_halfspace("rellich1", v, a.N, spec, **tol)],
+        "rellich2": lambda v, a, spec, **tol: [margin_halfspace("rellich2", v, a.N, spec, **tol)],
+        "hardy_mazya": lambda v, a, spec, **tol: [margin_hardy_mazya(v, a.N, spec, **tol)],
+        "pf1": lambda v, a, spec, **tol: [check_pf1(v, alpha, a.N, spec, **tol) for alpha in _alphas(a)],
+        "pf2": lambda v, a, spec, **tol: [check_pf2(v, alpha, a.N, **tol) for alpha in _alphas(a)],
+    },
+}
+
+
+def _alphas(args) -> list[float]:
+    return args.alpha if args.alpha else [(args.N - 2) / 2.0, (args.N - 4) / 2.0]
+
+
+def _cmd_checks(args):
+    """verify, identity and halfspace: one check per suite member, one payload."""
+    halfspace = args.command == "halfspace"
+    spec = _spec(PlaneQuadratureSpec if halfspace else QuadratureSpec, args)
+    suite = halfspace_suite(args.suite) if halfspace else load_suite(args.suite)
+    if args.command == "verify":
+        name = args.case
+        if name != "hardy1d" and args.N is None:
+            raise HypothesisError(f"--case {name} requires --N")
+        if name == "general" and (args.k is None or args.l is None):
+            raise HypothesisError("--case general requires --k and --l")
+        extra = {"case": name, "N": None if name == "hardy1d" else args.N}
+    else:
+        name = args.which
+        extra = {"which": name, "N": args.N}
+        if args.command == "identity":
+            extra["n"] = None if name in ("ph1", "trans1") else args.n
+        elif name in ("pf1", "pf2"):
+            extra["alphas"] = _alphas(args)
+    tol = {} if args.tol is None else {"tol": args.tol}
+    reports = [r for u in suite for r in _CHECKS[args.command][name](u, args, spec, **tol)]
     all_pass = all(r.verdict for r in reports)
     payload = {
-        "command": command,
+        "command": args.command,
         **extra,
-        "suite": {"name": suite_name, "version": suite_version()},
+        "tol": reports[0].tol,  # every suite has a member
+        "suite": {"name": args.suite, "version": suite_version()},
         "reports": [r.to_dict() for r in reports],
         "all_pass": all_pass,
     }
+    margins = isinstance(reports[0], MarginReport)
+    rows_fn, line_fn = (margin_csv_rows, _margin_line) if margins else (identity_csv_rows, _identity_line)
     rows = [row for r in reports for row in rows_fn(r)]
     lines = [line_fn(r) for r in reports]
     passed = sum(1 for r in reports if r.verdict)
     lines.append(f"{'PASS' if all_pass else 'FAIL'}: {passed}/{len(reports)} checks passed")
     return payload, rows, "\n".join(lines), 0 if all_pass else 1
-
-
-# (u, args, spec, tol) -> reports of one test function.  The lambdas look the
-# check functions up at call time, so a wrapper installed on this module's
-# names sees every call.
-_VERIFY = {
-    "thm21": lambda u, a, spec, tol: [margin_thm21(u, a.N, spec, tol)],
-    "rellich": lambda u, a, spec, tol: [margin_rellich(u, a.N, spec, tol)],
-    "poincare": lambda u, a, spec, tol: [margin_poincare_hardy(u, a.N, spec, tol)],
-    "yang": lambda u, a, spec, tol: [margin_yang(u, a.N, a.beta, spec, tol)],
-    "general": lambda u, a, spec, tol: [margin_general(CaseSpec(a.k, a.l, a.N), u, spec, tol)],
-    "hardy1d": lambda u, a, spec, tol: check_1d_lemmas(u, spec, tol=tol),
-}
-
-_IDENTITY = {
-    "ph1": lambda u, a, spec, tol: check_ph1(u, a.N, tol=tol),
-    "trans1": lambda u, a, spec, tol: check_trans1(u, a.N, tol=tol),
-    "estimate1": lambda u, a, spec, tol: check_estimate1(u, a.n, a.N, spec, tol),
-    "estimate2": lambda u, a, spec, tol: check_estimate2(u, a.n, a.N, spec, tol),
-}
-
-
-def _cmd_verify(args):
-    qspec = _spec(QuadratureSpec, args)
-    tol = args.tol if args.tol is not None else 1e-8
-    suite = load_suite(args.suite)
-    if args.case != "hardy1d" and args.N is None:
-        raise HypothesisError(f"--case {args.case} requires --N")
-    if args.case == "general" and (args.k is None or args.l is None):
-        raise HypothesisError("--case general requires --k and --l")
-    check = _VERIFY[args.case]
-    reports = [r for u in suite for r in check(u, args, qspec, tol)]
-    extra = {"case": args.case, "N": None if args.case == "hardy1d" else args.N, "tol": tol}
-    return _finish_reports("verify", extra, reports, args.suite, margin_csv_rows, _margin_line)
-
-
-def _cmd_identity(args):
-    qspec = _spec(QuadratureSpec, args)
-    pointwise = args.which in ("ph1", "trans1")
-    tol = args.tol if args.tol is not None else (1e-10 if pointwise else 1e-8)
-    suite = load_suite(args.suite)
-    reports = [_IDENTITY[args.which](u, args, qspec, tol) for u in suite]
-    extra = {"which": args.which, "N": args.N, "n": None if pointwise else args.n, "tol": tol}
-    return _finish_reports("identity", extra, reports, args.suite, identity_csv_rows, _identity_line)
 
 
 def _cmd_sharpness(args):
@@ -263,31 +285,6 @@ def _cmd_sharpness(args):
     lines = [f"{'param':>12}  {'quotient':>18}"]
     lines.extend(f"{row['param']:>12.6g}  {row['quotient']:>18.12g}" for row in rows_data)
     return payload, rows, "\n".join(lines), 0
-
-
-def _cmd_halfspace(args):
-    pspec = _spec(PlaneQuadratureSpec, args)
-    members = halfspace_suite(args.suite)
-    which = args.which
-    if which in ("rellich1", "rellich2", "hardy_mazya"):
-        tol = args.tol if args.tol is not None else 1e-7
-        if which == "hardy_mazya":
-            reports = [margin_hardy_mazya(v, args.N, pspec, tol) for v in members]
-        else:
-            reports = [margin_halfspace(which, v, args.N, pspec, tol) for v in members]
-        extra = {"which": which, "N": args.N, "tol": tol}
-        return _finish_reports("halfspace", extra, reports, args.suite, margin_csv_rows, _margin_line)
-    tol = args.tol if args.tol is not None else 1e-8
-    alphas = args.alpha if args.alpha else [(args.N - 2) / 2.0, (args.N - 4) / 2.0]
-    reports = []
-    for v in members:
-        for alpha in alphas:
-            if which == "pf1":
-                reports.append(check_pf1(v, alpha, args.N, pspec, tol))
-            else:
-                reports.append(check_pf2(v, alpha, args.N, tol))
-    extra = {"which": which, "N": args.N, "alphas": list(alphas), "tol": tol}
-    return _finish_reports("halfspace", extra, reports, args.suite, identity_csv_rows, _identity_line)
 
 
 def _default_name(args) -> str:
@@ -331,10 +328,10 @@ def _emit(args, content: str) -> None:
 
 _HANDLERS = {
     "constants": _cmd_constants,
-    "verify": _cmd_verify,
-    "identity": _cmd_identity,
+    "verify": _cmd_checks,
+    "identity": _cmd_checks,
     "sharpness": _cmd_sharpness,
-    "halfspace": _cmd_halfspace,
+    "halfspace": _cmd_checks,
 }
 
 

@@ -154,6 +154,8 @@ def _lap_sq(t, w):
     return [(t.lap_x**2, w * t.q**2), (2.0 * t.lap_x * t.p, w * t.q * t.q2), (t.p**2, w * t.q2**2)]
 
 
+# a huge N overflows rho^{N-2} to inf or nan; from_integrals turns that into a numerical failure
+@np.errstate(over="ignore", invalid="ignore")
 def _plane_integrals(v, N, spec, integrands, y_power=None):
     """Converged ``{term: integral}`` over rho^{N-2} drho dy of ``{term: f(_PlaneTable) -> pairs}``.
 

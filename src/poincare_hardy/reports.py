@@ -13,7 +13,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +42,17 @@ def encode_fraction(x: Fraction) -> dict:
     return {"num": str(x.numerator), "den": str(x.denominator), "decimal": float(x)}
 
 
+def _fields(report) -> dict:
+    """The stored fields in declaration order, dict-valued ones sorted by key."""
+    values = {f.name: getattr(report, f.name) for f in fields(report)}
+    return {name: dict(sorted(v.items())) if isinstance(v, dict) else v for name, v in values.items()}
+
+
+def _from_dict(cls, d: dict):
+    """The report stored in ``d``, a ``to_dict`` payload: computed keys are ignored, dicts copied."""
+    return cls(**{f.name: dict(d[f.name]) if isinstance(d[f.name], dict) else d[f.name] for f in fields(cls)})
+
+
 @dataclass(frozen=True)
 class MarginReport:
     """Signed term contributions of one inequality on one test function."""
@@ -58,13 +69,17 @@ class MarginReport:
         """Signed terms ``c * vals[key]`` and noise ``sum |c| * errs[key]`` over ``coef``'s keys.
 
         ``coef`` maps each term to its exact coefficient: positive for a
-        left-hand term, negative for a right-hand one.  Raises ValueError
-        when every integral is exactly 0: the test function vanishes on the
-        whole grid, and a margin of 0 at scale 0 certifies nothing.
+        left-hand term, negative for a right-hand one.  Raises
+        FloatingPointError when a term is not finite, and ValueError when
+        every integral is exactly 0: the test function vanishes on the whole
+        grid, and a margin of 0 at scale 0 certifies nothing.
         """
+        terms = {key: float(c) * vals[key] for key, c in coef.items()}
+        # a nan margin would print as a certificate in text and csv
+        if not all(np.isfinite(v) for v in terms.values()):
+            raise FloatingPointError(f"{case} on {function_id}: a term integral is not finite")
         if all(vals[key] == 0.0 for key in coef):
             raise ValueError(f"{case}: every term integral of {function_id} is 0; it vanishes on the quadrature grid")
-        terms = {key: float(c) * vals[key] for key, c in coef.items()}
         noise = ordered_sum(abs(float(c)) * errs[key] for key, c in coef.items())
         return cls(case=case, function_id=function_id, N=N, terms=terms, noise=noise, tol=tol)
 
@@ -92,12 +107,7 @@ class MarginReport:
     def to_dict(self) -> dict:
         return {
             "kind": "margin",
-            "case": self.case,
-            "function_id": self.function_id,
-            "N": self.N,
-            "terms": dict(sorted(self.terms.items())),
-            "noise": self.noise,
-            "tol": self.tol,
+            **_fields(self),
             "margin": self.margin,
             "lhs": self.lhs,
             "rhs": self.rhs,
@@ -105,16 +115,7 @@ class MarginReport:
             "verdict": self.verdict,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "MarginReport":
-        return cls(
-            case=d["case"],
-            function_id=d["function_id"],
-            N=d["N"],
-            terms=dict(d["terms"]),
-            noise=d["noise"],
-            tol=d["tol"],
-        )
+    from_dict = classmethod(_from_dict)
 
 
 @dataclass(frozen=True)
@@ -167,31 +168,9 @@ class IdentityResidualReport:
         return self.max_rel_residual <= self.tol
 
     def to_dict(self) -> dict:
-        return {
-            "kind": "identity",
-            "identity": self.identity,
-            "function_id": self.function_id,
-            "N": self.N,
-            "n": self.n,
-            "max_abs_residual": self.max_abs_residual,
-            "max_rel_residual": self.max_rel_residual,
-            "tol": self.tol,
-            "details": dict(sorted(self.details.items())),
-            "verdict": self.verdict,
-        }
+        return {"kind": "identity", **_fields(self), "verdict": self.verdict}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "IdentityResidualReport":
-        return cls(
-            identity=d["identity"],
-            function_id=d["function_id"],
-            N=d["N"],
-            n=d["n"],
-            max_abs_residual=d["max_abs_residual"],
-            max_rel_residual=d["max_rel_residual"],
-            tol=d["tol"],
-            details=dict(d["details"]),
-        )
+    from_dict = classmethod(_from_dict)
 
 
 def _long_rows(label: str, N: int | None, function_id: str, items) -> list[tuple[str, str, str, str, str]]:

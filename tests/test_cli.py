@@ -87,6 +87,30 @@ def test_nonfinite_identity_side_exits_2(which, fmt, capsys):
     assert err.startswith("numerical failure:") and "not finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_nonfinite_margin_term_exits_2(fmt, capsys):
+    # rho^{N-2} overflows, so a term integral is nan; a nan margin must not print as a certificate
+    code, out, err = run(["halfspace", "--which", "rellich1", "--N", "1000", "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "numerical failure: halfspace_rellich1 on bump_c2.0_w1.0_p1|bump_c0.8_w0.3_p0: a term integral is not finite\n"
+    )
+
+
+@pytest.mark.parametrize("which", ["pf1", "pf2"])
+@pytest.mark.parametrize(
+    "alpha, message",
+    [("nan", "must be finite, got 'nan'"), ("inf", "must be finite, got 'inf'"), ("abc", "invalid float value: 'abc'")],
+)
+def test_bad_alpha_exits_64(which, alpha, message, capsys):
+    # the power comes from the command line: a usage error, as --tol nan is
+    with pytest.raises(SystemExit) as exc:
+        main(["halfspace", "--which", which, "--alpha", alpha])
+    assert exc.value.code == 64
+    assert f"argument --alpha: {message}" in capsys.readouterr().err
+
+
 def test_measure_overflow_exits_2(capsys):
     # sinh^159 overflows past r = 690/159 = 4.34; the suite's bump_c3.5_w1.0
     # reaches 4.5, and only nodes inside a support are evaluated
@@ -115,6 +139,7 @@ def test_zero_function_exits_64(capsys, monkeypatch):
         ["halfspace", "--which", "rellich1", "--panels", "0"],
         ["halfspace", "--which", "rellich1", "--doublings", "-1"],
         ["verify", "--case", "poincare", "--N", "5", "--doublings", "-1"],
+        ["verify", "--case", "thm21", "--panels", "0"],  # the spec is checked before the missing --N
     ],
 )
 def test_bad_quadrature_spec_exits_2(argv, capsys):
@@ -143,6 +168,12 @@ def test_verify_general_requires_orders(capsys):
     code, _, err = run(["verify", "--case", "general", "--N", "7"], capsys)
     assert code == 64
     assert "--k and --l" in err
+
+
+def test_verify_unknown_suite_is_reported_before_missing_orders(capsys):
+    code, out, err = run(["verify", "--case", "general", "--N", "5", "--suite", "nope"], capsys)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: unknown suite 'nope'")
 
 
 def test_verify_hardy1d_ignores_dimension(capsys):

@@ -1,0 +1,66 @@
+"""The quadrature error estimate against an independent 32-digit oracle.
+
+Every margin verdict demands ``noise <= tol * scale``, where ``noise`` adds up
+the per-term errors that the panel-doubling loop reports.  Here each of those
+errors is checked against the true error of its integral, computed with
+``mpmath.quad`` on the bump's closed form and its derivative.
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from poincare_hardy import Bump, QuadratureSpec
+from poincare_hardy.verify import _integrals
+
+# term -> (k, weight) as the verifier names them: |grad^k u|^2 * weight
+TERMS = {
+    "u2": (0, "one"),
+    "u2_r2": (0, "inv_r2"),
+    "u2_r4": (0, "inv_r4"),
+    "u2_sinh4": (0, "inv_sinh4"),
+    "grad": (1, "one"),
+}
+
+# (bump, N, spec): standard and origin members; the last one exhausts its doubling budget
+MEMBERS = [
+    (Bump(1.0, 0.9, 0), 5, QuadratureSpec()),
+    (Bump(0.5, 0.5, 2), 5, QuadratureSpec()),
+    (Bump(1.5, 0.5, 3), 9, QuadratureSpec()),
+    (Bump(3.5, 1.0, 2), 5, QuadratureSpec(max_doublings=1)),
+]
+
+
+def _reference(u: Bump, N: int) -> dict[str, mpmath.mpf]:
+    """int f(r) sinh^{N-1} r dr over the support for every term, at 32 digits."""
+    c, w, p = mpmath.mpf(u.center), mpmath.mpf(u.width), u.power
+
+    def parts(r):
+        t = (r - c) / w
+        core = mpmath.exp(-1 / (1 - t * t))
+        value = r**p * core
+        slope = (p * r ** (p - 1) if p else 0) * core - value * 2 * t / (w * (1 - t * t) ** 2)
+        return value, slope
+
+    integrands = {
+        "u2": lambda r: parts(r)[0] ** 2,
+        "u2_r2": lambda r: parts(r)[0] ** 2 / r**2,
+        "u2_r4": lambda r: parts(r)[0] ** 2 / r**4,
+        "u2_sinh4": lambda r: parts(r)[0] ** 2 / mpmath.sinh(r) ** 4,
+        "grad": lambda r: parts(r)[1] ** 2,
+    }
+    lo, hi = u.support
+    with mpmath.workdps(32):
+        nodes = [mpmath.mpf(lo), c, mpmath.mpf(hi)]
+        return {key: mpmath.quad(lambda r: f(r) * mpmath.sinh(r) ** (N - 1), nodes) for key, f in integrands.items()}
+
+
+@pytest.mark.parametrize("u, N, spec", MEMBERS, ids=[f"{u.id}_N{N}" for u, N, _ in MEMBERS])
+def test_noise_bounds_the_true_error(u, N, spec):
+    vals, errs = _integrals(u, N, spec, TERMS)
+    ref = _reference(u, N)
+    with mpmath.workdps(32):
+        true_errors = {key: float(abs(mpmath.mpf(vals[key]) - ref[key])) for key in TERMS}
+    for key in TERMS:
+        # the error floor is one ulp, and the dot product over the nodes rounds by a few more
+        assert true_errors[key] <= errs[key] + 4 * np.spacing(abs(vals[key])), key

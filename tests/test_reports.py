@@ -1,0 +1,41 @@
+"""Report records: dict payloads follow the declared fields and parse back field for field."""
+
+import json
+from dataclasses import fields
+
+import pytest
+
+from poincare_hardy.reports import IdentityResidualReport, MarginReport, dumps_json
+
+REPORTS = [
+    MarginReport("thm21", "bump_c2.0_w1.0_p0", 5, {"lap2": 2.5, "grad": -1.0, "r2": -0.25}, 1e-15, 1e-8),
+    MarginReport("hardy1d_a", "bump_c2.0_w1.0_p0", None, {"lhs": 1.0, "rhs": -0.25}, 0.0, 1e-8),
+    IdentityResidualReport("pf1", "bump|bump", 5, None, 1e-14, 1e-15, 1e-8, {"rhs": 2.0, "alpha": 0.5, "lhs": 2.0}),
+    IdentityResidualReport("estimate1", "bump_c2.0_w1.0_p0", 5, 0, 1e-14, 1e-15, 1e-8),
+]
+
+
+@pytest.mark.parametrize("report", REPORTS, ids=lambda r: type(r).__name__)
+def test_report_round_trips_field_for_field(report):
+    d = report.to_dict()
+    back = type(report).from_dict(d)
+    assert back == report
+    for f in fields(report):
+        value = getattr(back, f.name)
+        assert value == getattr(report, f.name)
+        if isinstance(value, dict):
+            # copies both ways: editing a payload never edits a report
+            assert value is not d[f.name] and d[f.name] is not getattr(report, f.name)
+    assert type(report).from_dict(json.loads(dumps_json(d))) == report
+
+
+def test_report_keys_follow_the_declared_fields():
+    margin, identity = REPORTS[0].to_dict(), REPORTS[2].to_dict()
+    assert list(margin) == [
+        "kind", "case", "function_id", "N", "terms", "noise", "tol", "margin", "lhs", "rhs", "scale", "verdict"
+    ]
+    assert list(margin["terms"]) == ["grad", "lap2", "r2"]
+    assert list(identity) == [
+        "kind", "identity", "function_id", "N", "n", "max_abs_residual", "max_rel_residual", "tol", "details", "verdict"
+    ]
+    assert list(identity["details"]) == ["alpha", "lhs", "rhs"]

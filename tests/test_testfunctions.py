@@ -151,6 +151,14 @@ def test_halfspace_suite_loading():
         load_halfspace_suite("missing")
 
 
+def test_every_suite_has_members():
+    # a verify, identity or halfspace payload reads its tol from the first report
+    for name in suite_names():
+        assert load_suite(name)
+    for name in halfspace_suite_names():
+        assert load_halfspace_suite(name)
+
+
 def test_descriptor_round_trip():
     u = profile_from_descriptor({"kind": "bump", "center": 1.5, "width": 0.5, "power": 2})
     assert u == Bump(1.5, 0.5, 2)
