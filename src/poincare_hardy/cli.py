@@ -102,12 +102,7 @@ def _build_parser() -> _Parser:
     add_common(c)
 
     v = sub.add_parser("verify", help="numerical margin certificates over a test suite")
-    v.add_argument(
-        "--case",
-        choices=("thm21", "rellich", "poincare", "yang", "general", "hardy1d"),
-        required=True,
-        help="which inequality to certify",
-    )
+    v.add_argument("--case", choices=tuple(_CHECKS["verify"]), required=True, help="which inequality to certify")
     v.add_argument("--N", type=int, default=None, help="hyperbolic dimension (ignored for hardy1d)")
     v.add_argument("--beta", type=int, default=0, help="weight exponent for --case yang")
     v.add_argument("--k", type=int, default=None, help="left order for --case general")
@@ -118,7 +113,7 @@ def _build_parser() -> _Parser:
     add_common(v)
 
     i = sub.add_parser("identity", help="substitution and estimate identity residuals")
-    i.add_argument("--which", choices=("ph1", "trans1", "estimate1", "estimate2"), required=True)
+    i.add_argument("--which", choices=tuple(_CHECKS["identity"]), required=True)
     i.add_argument("--N", type=int, default=5, help="hyperbolic dimension (default 5)")
     i.add_argument("--n", type=int, default=0, help="spherical mode for the estimate identities")
     i.add_argument("--suite", default="standard", help="test function suite name")
@@ -134,7 +129,7 @@ def _build_parser() -> _Parser:
     add_common(s)
 
     h = sub.add_parser("halfspace", help="half-space corollaries and transplantation identities")
-    h.add_argument("--which", choices=("rellich1", "rellich2", "hardy_mazya", "pf1", "pf2"), required=True)
+    h.add_argument("--which", choices=tuple(_CHECKS["halfspace"]), required=True)
     h.add_argument("--N", type=int, default=5, help="dimension (default 5)")
     h.add_argument("--alpha", type=finite, action="append", default=None, help="power(s) for pf1/pf2")
     h.add_argument("--suite", default="standard", help="half-space suite name")

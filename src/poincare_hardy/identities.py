@@ -24,7 +24,7 @@ from .constants import CaseSpec, lambda_n, poincare_constant, thm21_constants
 from .jets import coth
 from .profiles import RadialProfile
 from .operators import laplace_radial, to_v_transform
-from .quadrature import QuadratureSpec, _chebyshev, converge_terms
+from .quadrature import QuadratureSpec, _chebyshev, _support_r_max, converge_terms, weight_values
 from .reports import IdentityResidualReport, MarginReport, ordered_sum
 
 __all__ = [
@@ -45,6 +45,8 @@ def identity_sample_points(u: RadialProfile, count: int = 50) -> np.ndarray:
     return _chebyshev(*u.support, count)
 
 
+# a huge N overflows the sinh powers to inf or nan; from_sides turns that into a numerical failure
+@np.errstate(over="ignore", invalid="ignore")
 def check_ph1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualReport:
     """|grad u|^2 against its form in v = sinh^{(N-1)/2} u, pointwise.
 
@@ -61,6 +63,7 @@ def check_ph1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualR
     return IdentityResidualReport.from_sides("ph1", u.id, N, None, lhs, rhs, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # as in check_ph1
 def check_trans1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualReport:
     """The radial Laplacian against its v-side form, pointwise.
 
@@ -76,25 +79,25 @@ def check_trans1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidu
     return IdentityResidualReport.from_sides("trans1", u.id, N, None, lhs, rhs, tol)
 
 
-# The raw family {key: integrand(t)}: t carries f, df = f', ddf = f'', r,
-# coth r and s2 = sinh^-2 r.  The first seven keys are the lemma terms, the rest
-# appear only in the estimates.  sinh4 is (sinh^-2)^2, not sinh^-4: they differ
-# in the last bit.
+# The raw family {key: integrand(t)}: t carries f, df = f', ddf = f'', coth r
+# and the ``_WEIGHTS`` by their ``weight_values`` names, the values the verifier
+# integrates.  The first seven keys are the lemma terms, the rest appear only in the estimates.
+_WEIGHTS = ("inv_r2", "inv_r4", "inv_sinh2", "inv_sinh4")
 _RAW = {
-    "grad_sinh2": lambda t: t.df**2 * t.s2,
-    "sinh4": lambda t: t.f**2 * t.s2**2,
-    "sinh2": lambda t: t.f**2 * t.s2,
+    "grad_sinh2": lambda t: t.df**2 * t.inv_sinh2,
+    "sinh4": lambda t: t.f**2 * t.inv_sinh4,
+    "sinh2": lambda t: t.f**2 * t.inv_sinh2,
     "grad": lambda t: t.df**2,
-    "r2": lambda t: t.f**2 * t.r**-2.0,
+    "r2": lambda t: t.f**2 * t.inv_r2,
     "lap2": lambda t: t.ddf**2,
-    "r4": lambda t: t.f**2 * t.r**-4.0,
+    "r4": lambda t: t.f**2 * t.inv_r4,
     "v2": lambda t: t.f**2,
     "c_v_dv": lambda t: t.coth * t.f * t.df,
     "c2_v2": lambda t: t.coth**2 * t.f**2,
     "ddv_c2v": lambda t: t.ddf * t.coth**2 * t.f,
     "ddv_v": lambda t: t.ddf * t.f,
-    "ddv_v_s2": lambda t: t.ddf * t.f * t.s2,
-    "c2_v2_s2": lambda t: t.coth**2 * t.f**2 * t.s2,
+    "ddv_v_s2": lambda t: t.ddf * t.f * t.inv_sinh2,
+    "c2_v2_s2": lambda t: t.coth**2 * t.f**2 * t.inv_sinh2,
     "c4_v2": lambda t: t.coth**4 * t.f**2,
 }
 
@@ -110,19 +113,16 @@ _LEMMAS = {
 
 def _raw_integrals(u: RadialProfile, jet, spec: QuadratureSpec, keys):
     """Converged ``_RAW`` integrals ``keys`` for the order-2 jet ``jet(r)``, zero outside u's support."""
-    if u.support is None:
-        raise ValueError("integral checks need a compactly supported profile")
-
+    @np.errstate(over="ignore", invalid="ignore")  # as in check_ph1
     def terms(grid):
         span = grid.span(u.support)
         r = grid.nodes[span]
         f = jet(r)
-        t = SimpleNamespace(
-            f=f.value(), df=f.derivative(1), ddf=f.derivative(2), r=r, coth=coth(r), s2=np.sinh(r) ** -2.0
-        )
+        weights = {name: weight_values(name, r) for name in _WEIGHTS}
+        t = SimpleNamespace(f=f.value(), df=f.derivative(1), ddf=f.derivative(2), coth=coth(r), **weights)
         return {key: grid.integrate(_RAW[key](t), span) for key in keys}
 
-    return converge_terms(terms, spec, u.support[1] + 1.0)
+    return converge_terms(terms, spec, _support_r_max(u))
 
 
 @functools.lru_cache(maxsize=8)

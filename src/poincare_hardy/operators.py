@@ -64,8 +64,6 @@ class RadialTable:
         tower = [u.jet(r, order)]
         for _ in range(levels):
             tower.append(laplace_of_jet(tower[-1], cj, N))
-        self.u = u
-        self.N = N
         self.grid = grid
         self.levels = levels
         self._tower = tower

@@ -237,8 +237,6 @@ class Product(RadialProfile):
 _KINDS = {
     "bump": lambda d: Bump(d["center"], d["width"], d.get("power", 0)),
     "window": lambda d: SmoothWindow(d["lo"], d["hi"], d["ramp"]),
-    "cutoff": lambda d: Cutoff(d["flat_end"], d["support_end"]),
-    "exp": lambda d: ExpDecay(d["rate"]),
 }
 
 

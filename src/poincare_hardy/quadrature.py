@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -42,15 +43,15 @@ __all__ = [
 class QuadratureSpec:
     """Integration policy for radial integrals on (0, r_max].
 
-    The domain comes from the caller (support end + 1 for every certificate).
+    The domain comes from the caller (``_support_r_max`` for every certificate).
     The first panel break sits at ``1e-6 * r_max`` and breaks
     grow geometrically from there.
     """
 
+    abs_tol: ClassVar[float] = 1e-30
     panels: int = 32
     nodes_per_panel: int = 64
     rel_tol: float = 1e-10
-    abs_tol: float = 1e-30
     max_doublings: int = 4
 
     def __post_init__(self):
@@ -64,12 +65,11 @@ class QuadratureSpec:
 class Grid:
     """Nodes and weights of a composite Gauss-Legendre rule on (0, r_max]."""
 
-    __slots__ = ("nodes", "weights", "r_max", "refine")
+    __slots__ = ("nodes", "weights", "refine")
 
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray, r_max: float, refine: int):
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray, refine: int):
         self.nodes = nodes
         self.weights = weights
-        self.r_max = r_max
         self.refine = refine
 
     def span(self, support: tuple[float, float] | None) -> slice:
@@ -116,7 +116,14 @@ def _cached_grid(spec: QuadratureSpec, r_max: float, refine: int) -> Grid:
         ratio = _MIN_BREAK_FRACTION ** (1.0 / (panels - 1))
         breaks = np.concatenate(([0.0], r_max * ratio ** np.arange(panels - 1, -1, -1.0)))
     nodes, weights = _panel_rule(breaks, spec.nodes_per_panel)
-    return Grid(nodes, weights, r_max, refine)
+    return Grid(nodes, weights, refine)
+
+
+def _support_r_max(u) -> float:
+    """The radial domain of every certificate on u: its support end plus 1."""
+    if u.support is None:
+        raise ValueError("integral checks need a compactly supported profile")
+    return u.support[1] + 1.0
 
 
 def build_grid(spec: QuadratureSpec, r_max: float, refine: int = 0) -> Grid:

@@ -26,7 +26,7 @@ from .constants import (
 from .errors import HypothesisError
 from .profiles import Bump, Cutoff, RadialProfile
 from .operators import gradk_sq_values, radial_table
-from .quadrature import QuadratureSpec, converge_terms, log_sinh, measure_values, weight_values
+from .quadrature import QuadratureSpec, _support_r_max, converge_terms, log_sinh, measure_values, weight_values
 from .reports import MarginReport
 
 __all__ = [
@@ -37,12 +37,6 @@ __all__ = [
     "margin_general",
     "sharpness_probe",
 ]
-
-
-def _support_r_max(u: RadialProfile) -> float:
-    if u.support is None:
-        raise ValueError("margin checks need a compactly supported test function")
-    return u.support[1] + 1.0
 
 
 def _inv_r(power: int) -> str:

@@ -98,6 +98,16 @@ def test_nonfinite_margin_term_exits_2(fmt, capsys):
     )
 
 
+@pytest.mark.parametrize("which", ["ph1", "trans1", "estimate1", "estimate2"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_identity_overflow_exits_2_quietly(which, fmt, capsys):
+    # sinh^{(N-1)/2} overflows at N = 1000, so a side is inf or nan: one message, no numpy warnings
+    code, out, err = run(["identity", "--which", which, "--N", "1000", "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"numerical failure: {which} on bump_c1.0_w0.9_p0: a side of the identity is not finite\n"
+
+
 @pytest.mark.parametrize("which", ["pf1", "pf2"])
 @pytest.mark.parametrize(
     "alpha, message",

@@ -3,7 +3,9 @@
 Every margin verdict demands ``noise <= tol * scale``, where ``noise`` adds up
 the per-term errors that the panel-doubling loop reports.  Here each of those
 errors is checked against the true error of its integral, computed with
-``mpmath.quad`` on the bump's closed form and its derivative.
+``mpmath.quad`` on the bump's closed form and its derivative.  Both families
+are covered: the verifier's terms under the hyperbolic measure and the 1-D
+lemma terms of ``identities`` under dr, which share the verifier's weights.
 """
 
 import mpmath
@@ -11,6 +13,7 @@ import numpy as np
 import pytest
 
 from poincare_hardy import Bump, QuadratureSpec
+from poincare_hardy.identities import _raw_integrals
 from poincare_hardy.verify import _integrals
 
 # term -> (k, weight) as the verifier names them: |grad^k u|^2 * weight
@@ -22,6 +25,24 @@ TERMS = {
     "grad": (1, "one"),
 }
 
+# the 1-D lemma terms by their ``identities`` names, in the same (k, weight) form
+LEMMA_TERMS = {
+    "grad_sinh2": (1, "inv_sinh2"),
+    "sinh4": (0, "inv_sinh4"),
+    "sinh2": (0, "inv_sinh2"),
+    "r2": (0, "inv_r2"),
+    "r4": (0, "inv_r4"),
+    "grad": (1, "one"),
+}
+
+WEIGHTS = {
+    "one": lambda r: 1,
+    "inv_r2": lambda r: r**-2,
+    "inv_r4": lambda r: r**-4,
+    "inv_sinh2": lambda r: mpmath.sinh(r) ** -2,
+    "inv_sinh4": lambda r: mpmath.sinh(r) ** -4,
+}
+
 # (bump, N, spec): standard and origin members; the last one exhausts its doubling budget
 MEMBERS = [
     (Bump(1.0, 0.9, 0), 5, QuadratureSpec()),
@@ -31,8 +52,8 @@ MEMBERS = [
 ]
 
 
-def _reference(u: Bump, N: int) -> dict[str, mpmath.mpf]:
-    """int f(r) sinh^{N-1} r dr over the support for every term, at 32 digits."""
+def _reference(u: Bump, terms: dict, measure) -> dict[str, mpmath.mpf]:
+    """int |u^(k)|^2 weight(r) measure(r) dr over the support for every term, at 32 digits."""
     c, w, p = mpmath.mpf(u.center), mpmath.mpf(u.width), u.power
 
     def parts(r):
@@ -42,25 +63,30 @@ def _reference(u: Bump, N: int) -> dict[str, mpmath.mpf]:
         slope = (p * r ** (p - 1) if p else 0) * core - value * 2 * t / (w * (1 - t * t) ** 2)
         return value, slope
 
-    integrands = {
-        "u2": lambda r: parts(r)[0] ** 2,
-        "u2_r2": lambda r: parts(r)[0] ** 2 / r**2,
-        "u2_r4": lambda r: parts(r)[0] ** 2 / r**4,
-        "u2_sinh4": lambda r: parts(r)[0] ** 2 / mpmath.sinh(r) ** 4,
-        "grad": lambda r: parts(r)[1] ** 2,
-    }
     lo, hi = u.support
     with mpmath.workdps(32):
         nodes = [mpmath.mpf(lo), c, mpmath.mpf(hi)]
-        return {key: mpmath.quad(lambda r: f(r) * mpmath.sinh(r) ** (N - 1), nodes) for key, f in integrands.items()}
+        return {
+            key: mpmath.quad(lambda r, k=k, weight=WEIGHTS[weight]: parts(r)[k] ** 2 * weight(r) * measure(r), nodes)
+            for key, (k, weight) in terms.items()
+        }
+
+
+def _assert_bounded(vals, errs, ref):
+    with mpmath.workdps(32):
+        true_errors = {key: float(abs(mpmath.mpf(vals[key]) - ref[key])) for key in ref}
+    for key in ref:
+        # the error floor is one ulp, and the dot product over the nodes rounds by a few more
+        assert true_errors[key] <= errs[key] + 4 * np.spacing(abs(vals[key])), key
 
 
 @pytest.mark.parametrize("u, N, spec", MEMBERS, ids=[f"{u.id}_N{N}" for u, N, _ in MEMBERS])
 def test_noise_bounds_the_true_error(u, N, spec):
     vals, errs = _integrals(u, N, spec, TERMS)
-    ref = _reference(u, N)
-    with mpmath.workdps(32):
-        true_errors = {key: float(abs(mpmath.mpf(vals[key]) - ref[key])) for key in TERMS}
-    for key in TERMS:
-        # the error floor is one ulp, and the dot product over the nodes rounds by a few more
-        assert true_errors[key] <= errs[key] + 4 * np.spacing(abs(vals[key])), key
+    _assert_bounded(vals, errs, _reference(u, TERMS, lambda r: mpmath.sinh(r) ** (N - 1)))
+
+
+@pytest.mark.parametrize("u, spec", [(u, spec) for u, _, spec in MEMBERS], ids=[u.id for u, _, _ in MEMBERS])
+def test_lemma_noise_bounds_the_true_error(u, spec):
+    vals, errs = _raw_integrals(u, lambda r: u.jet(r, 2), spec, tuple(LEMMA_TERMS))
+    _assert_bounded(vals, errs, _reference(u, LEMMA_TERMS, lambda r: 1))

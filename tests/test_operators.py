@@ -39,7 +39,7 @@ def test_laplace_matches_difference_quotients():
 
 def _points(r):
     """A Grid holding just the sample points, for building a RadialTable on them."""
-    return Grid(r, np.ones_like(r), float(r[-1]), 0)
+    return Grid(r, np.ones_like(r), 0)
 
 
 def test_iterated_laplace_composes():

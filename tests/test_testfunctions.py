@@ -164,5 +164,7 @@ def test_descriptor_round_trip():
     assert u == Bump(1.5, 0.5, 2)
     w = profile_from_descriptor({"kind": "window", "lo": 2.0, "hi": 5.0, "ramp": 1.0})
     assert w == SmoothWindow(2.0, 5.0, 1.0)
-    with pytest.raises(ValueError, match="unknown profile kind"):
-        profile_from_descriptor({"kind": "gaussian"})
+    # Cutoff and ExpDecay are built in code only: no suite member may be one
+    for kind in ("gaussian", "cutoff", "exp"):
+        with pytest.raises(ValueError, match="unknown profile kind"):
+            profile_from_descriptor({"kind": kind})
