@@ -20,7 +20,6 @@ from .constants import (
     constant_table,
     dk_ek,
     halfspace_constants,
-    harmonic_dim,
     thm21_constants,
     lambda_n,
     poincare_constant,
@@ -84,7 +83,6 @@ __all__ = [
     "constant_table",
     "dk_ek",
     "halfspace_constants",
-    "harmonic_dim",
     "thm21_constants",
     "lambda_n",
     "poincare_constant",

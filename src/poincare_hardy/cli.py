@@ -17,7 +17,6 @@ import argparse
 import math
 import os
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .constants import CaseSpec, constant_table
@@ -33,7 +32,7 @@ from .halfspace import (
 from .identities import check_1d_lemmas, check_estimate1, check_estimate2, check_ph1, check_trans1
 from .profiles import load_suite, suite_version
 from .quadrature import QuadratureSpec
-from .reports import MarginReport, dumps_csv, dumps_json, encode_fraction, identity_csv_rows, margin_csv_rows
+from .reports import dumps_csv, dumps_json, encode_fraction, long_rows
 from .verify import (
     margin_general,
     margin_thm21,
@@ -45,7 +44,6 @@ from .verify import (
 
 __all__ = ["main"]
 
-_CSV_HEADER = ("case", "N", "function_id", "term", "value")
 _OUTDIR_ENV = "POINCARE_HARDY_OUTDIR"
 
 
@@ -145,15 +143,9 @@ def _spec(cls, args):
     return cls(**{name: value for name, value in given.items() if value is not None})
 
 
-def _rat(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 def _cmd_constants(args):
     case = CaseSpec(args.k, args.l, args.N)
     table = constant_table(case)
-    case_id = f"k{case.k}_l{case.l}"
-    n_str = str(case.N)
     chain = {f"c{i}": value for i, value in enumerate(table.chain, start=1)}
 
     payload = {
@@ -172,29 +164,11 @@ def _cmd_constants(args):
     named.extend(chain.items())
     named.extend(sorted(table.aux.items()))
 
-    rows = [(case_id, n_str, "exact", name, _rat(value)) for name, value in named]
+    rows = long_rows(f"k{case.k}_l{case.l}", case.N, "exact", named)
     width = max(len(name) for name, _ in named)
     lines = [f"constants for k={case.k} l={case.l} N={case.N}"]
-    lines.extend(f"  {name:<{width}}  {_rat(value)}  ({float(value)!r})" for name, value in named)
+    lines.extend(f"  {name:<{width}}  {value}  ({float(value)!r})" for name, value in named)
     return payload, rows, "\n".join(lines), 0
-
-
-def _margin_line(r) -> str:
-    status = "PASS" if r.verdict else "FAIL"
-    n_part = "" if r.N is None else f" N={r.N}"
-    return (
-        f"{status} {r.case} {r.function_id}{n_part} "
-        f"margin={r.margin:.6e} scale={r.scale:.6e} noise={r.noise:.3e}"
-    )
-
-
-def _identity_line(r) -> str:
-    status = "PASS" if r.verdict else "FAIL"
-    n_part = "" if r.n is None else f" n={r.n}"
-    return (
-        f"{status} {r.identity} {r.function_id} N={r.N}{n_part} "
-        f"max_rel={r.max_rel_residual:.3e} max_abs={r.max_abs_residual:.3e}"
-    )
 
 
 # command -> {name: (u, args, spec, **tol) -> reports of one test function}.  The
@@ -259,10 +233,8 @@ def _cmd_checks(args):
         "reports": [r.to_dict() for r in reports],
         "all_pass": all_pass,
     }
-    margins = isinstance(reports[0], MarginReport)
-    rows_fn, line_fn = (margin_csv_rows, _margin_line) if margins else (identity_csv_rows, _identity_line)
-    rows = [row for r in reports for row in rows_fn(r)]
-    lines = [line_fn(r) for r in reports]
+    rows = [row for r in reports for row in r.csv_rows()]
+    lines = [r.line() for r in reports]
     passed = sum(1 for r in reports if r.verdict)
     lines.append(f"{'PASS' if all_pass else 'FAIL'}: {passed}/{len(reports)} checks passed")
     return payload, rows, "\n".join(lines), 0 if all_pass else 1
@@ -273,10 +245,7 @@ def _cmd_sharpness(args):
     rows_data = sharpness_probe(args.case, args.N, params, _spec(QuadratureSpec, args))
     payload = {"command": "sharpness", "case": args.case, "N": args.N, "rows": rows_data}
     case_id = f"sharpness_{args.case}"
-    rows = [
-        (case_id, str(args.N), f"param_{row['param']}", "quotient", repr(row["quotient"]))
-        for row in rows_data
-    ]
+    rows = [row for r in rows_data for row in long_rows(case_id, args.N, f"param_{r['param']}", [("quotient", r["quotient"])])]
     lines = [f"{'param':>12}  {'quotient':>18}"]
     lines.extend(f"{row['param']:>12.6g}  {row['quotient']:>18.12g}" for row in rows_data)
     return payload, rows, "\n".join(lines), 0
@@ -304,7 +273,7 @@ def _render(args, payload, rows, text) -> str:
         except ValueError as exc:  # canonical JSON has no inf or nan
             raise FloatingPointError(f"non-finite value in the report: {exc}") from exc
     if args.format == "csv":
-        return dumps_csv(rows, _CSV_HEADER)
+        return dumps_csv(rows)
     return text if text.endswith("\n") else text + "\n"
 
 

@@ -19,7 +19,6 @@ extra sinh remainders of thm21 are the n = 0 mode minima A_0, B_0
 from __future__ import annotations
 
 import functools
-import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -40,7 +39,6 @@ __all__ = [
     "case_leading_constants",
     "constant_table",
     "lambda_n",
-    "harmonic_dim",
     "anbn",
     "halfspace_constants",
 ]
@@ -302,17 +300,6 @@ def lambda_n(n: int, N: int) -> int:
     if n < 0:
         raise HypothesisError("requires n >= 0")
     return n * n + (N - 2) * n
-
-
-def harmonic_dim(n: int, N: int) -> int:
-    """Multiplicity of the n-th spherical eigenvalue on S^{N-1}."""
-    if n < 0:
-        raise HypothesisError("requires n >= 0")
-    if n == 0:
-        return 1
-    if n == 1:
-        return N
-    return math.comb(N + n - 1, n) - math.comb(N + n - 3, n - 2)
 
 
 def anbn(n: int, N: int) -> tuple[Fraction, Fraction]:

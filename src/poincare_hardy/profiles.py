@@ -86,8 +86,10 @@ class Bump(RadialProfile):
     power: int = 0
 
     def __post_init__(self):
-        if not (self.width > 0.0 and self.center + self.width > 0.0):
-            raise ValueError(f"bump needs width > 0 and center + width > 0, got {self.id}")
+        # lo < hi < inf also rejects nan and a center so large that center +- width round to one float
+        lo, hi = self.support
+        if not lo < hi < np.inf:
+            raise ValueError(f"bump needs width > 0 and a support lo < hi < inf, got {self.id} on ({lo}, {hi})")
         if type(self.power) is not int or self.power < 0:
             raise ValueError(f"bump power must be an int >= 0, got {self.power!r}")
 

@@ -128,8 +128,8 @@ def _support_r_max(u) -> float:
 
 def build_grid(spec: QuadratureSpec, r_max: float, refine: int = 0) -> Grid:
     """Build the composite rule on (0, r_max]."""
-    if not r_max > 0:
-        raise QuadratureError(f"r_max must be positive, got {r_max}")
+    if not 0 < r_max < np.inf:
+        raise QuadratureError(f"r_max must be positive and finite, got {r_max}")
     return _cached_grid(spec, float(r_max), refine)
 
 

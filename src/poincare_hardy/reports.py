@@ -6,6 +6,8 @@ ones negatively, so the margin is just the sum.  The verdict demands both a
 nonnegative margin (up to tol * scale) and a quadrature noise estimate small
 enough to trust that sign.  All serialization is deterministic: sorted keys,
 no timestamps, rationals carried as exact numerator/denominator strings.
+Each report also renders its own text line and its long-format CSV rows
+(case, N, function_id, term, value); ``dumps_csv`` writes that header.
 """
 
 from __future__ import annotations
@@ -22,8 +24,6 @@ __all__ = [
     "MarginReport",
     "IdentityResidualReport",
     "encode_fraction",
-    "margin_csv_rows",
-    "identity_csv_rows",
     "dumps_json",
     "dumps_csv",
 ]
@@ -40,6 +40,15 @@ def ordered_sum(values) -> float:
 def encode_fraction(x: Fraction) -> dict:
     """Exact rational as strings plus a float approximation for reading."""
     return {"num": str(x.numerator), "den": str(x.denominator), "decimal": float(x)}
+
+
+_CSV_HEADER = ("case", "N", "function_id", "term", "value")
+
+
+def long_rows(label: str, N: int | None, function_id: str, items) -> list[tuple[str, str, str, str, str]]:
+    """Long-format CSV rows (label, N, function_id, name, str(value)), one per ``(name, value)`` item."""
+    n_str = "" if N is None else str(N)
+    return [(label, n_str, function_id, name, str(value)) for name, value in items]
 
 
 def _fields(report) -> dict:
@@ -117,6 +126,20 @@ class MarginReport:
 
     from_dict = classmethod(_from_dict)
 
+    def line(self) -> str:
+        """The text-format line: verdict, case, function, N, then margin, scale and noise."""
+        n_part = "" if self.N is None else f" N={self.N}"
+        return (
+            f"{'PASS' if self.verdict else 'FAIL'} {self.case} {self.function_id}{n_part} "
+            f"margin={self.margin:.6e} scale={self.scale:.6e} noise={self.noise:.3e}"
+        )
+
+    def csv_rows(self) -> list[tuple[str, str, str, str, str]]:
+        """Rows (case, N, function_id, term_name, value): the sorted terms, then the summary."""
+        summary = [(name, getattr(self, name)) for name in ("lhs", "rhs", "margin", "scale", "noise")]
+        items = [*sorted(self.terms.items()), *summary, ("verdict", float(self.verdict))]
+        return long_rows(self.case, self.N, self.function_id, items)
+
 
 @dataclass(frozen=True)
 class IdentityResidualReport:
@@ -172,26 +195,20 @@ class IdentityResidualReport:
 
     from_dict = classmethod(_from_dict)
 
+    def line(self) -> str:
+        """The text-format line: verdict, identity, function, N and n, then the residuals."""
+        n_part = "" if self.n is None else f" n={self.n}"
+        return (
+            f"{'PASS' if self.verdict else 'FAIL'} {self.identity} {self.function_id} N={self.N}{n_part} "
+            f"max_rel={self.max_rel_residual:.3e} max_abs={self.max_abs_residual:.3e}"
+        )
 
-def _long_rows(label: str, N: int | None, function_id: str, items) -> list[tuple[str, str, str, str, str]]:
-    """Long-format rows (label, N, function_id, name, value), one per ``(name, value)`` item."""
-    n_str = "" if N is None else str(N)
-    return [(label, n_str, function_id, name, repr(value)) for name, value in items]
-
-
-def margin_csv_rows(report: MarginReport) -> list[tuple[str, str, str, str, str]]:
-    """Rows (case, N, function_id, term_name, value): the sorted terms, then the summary."""
-    r = report
-    summary = [("lhs", r.lhs), ("rhs", r.rhs), ("margin", r.margin), ("scale", r.scale), ("noise", r.noise)]
-    return _long_rows(r.case, r.N, r.function_id, [*sorted(r.terms.items()), *summary, ("verdict", float(r.verdict))])
-
-
-def identity_csv_rows(report: IdentityResidualReport) -> list[tuple[str, str, str, str, str]]:
-    """Rows labelled with the identity and its mode n: the sorted details, then the residuals."""
-    r = report
-    label = r.identity if r.n is None else f"{r.identity}_n{r.n}"
-    summary = [("max_abs_residual", r.max_abs_residual), ("max_rel_residual", r.max_rel_residual)]
-    return _long_rows(label, r.N, r.function_id, [*sorted(r.details.items()), *summary, ("verdict", float(r.verdict))])
+    def csv_rows(self) -> list[tuple[str, str, str, str, str]]:
+        """Rows labelled with the identity and its mode n: the sorted details, then the residuals."""
+        label = self.identity if self.n is None else f"{self.identity}_n{self.n}"
+        summary = [(name, getattr(self, name)) for name in ("max_abs_residual", "max_rel_residual")]
+        items = [*sorted(self.details.items()), *summary, ("verdict", float(self.verdict))]
+        return long_rows(label, self.N, self.function_id, items)
 
 
 def dumps_json(payload: dict) -> str:
@@ -199,9 +216,10 @@ def dumps_json(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def dumps_csv(rows: list[tuple], header: tuple[str, ...]) -> str:
+def dumps_csv(rows: list[tuple]) -> str:
+    """CSV text: the (case, N, function_id, term, value) header, then ``rows``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
+    writer.writerow(_CSV_HEADER)
     writer.writerows(rows)
     return buf.getvalue()

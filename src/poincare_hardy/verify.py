@@ -183,7 +183,10 @@ def sharpness_probe(case: str, N: int = 5, params=None, spec: QuadratureSpec | N
         integrands = {"lap2": (2, "one"), "grad": (1, "one"), "r2": (0, "inv_r2")}
         rows = []
         for c in centers:
-            vals, _ = _integrals(Bump(float(c), 1.0), N, spec, integrands)
+            u = Bump(float(c), 1.0)
+            vals, _ = _integrals(u, N, spec, integrands)
+            if vals["r2"] == 0.0:
+                raise ValueError(f"thm21_r2: {u.id} vanishes on the quadrature grid")
             rows.append({"param": float(c), "quotient": (vals["lap2"] - pc * vals["grad"]) / (target * vals["r2"])})
         return rows
     raise ValueError(f"unknown sharpness case {case!r}")

@@ -215,11 +215,19 @@ def test_sharpness_has_no_tolerance(capsys):
 
 
 def test_sharpness_empty_bump_exits_64(capsys):
-    for params in ("--params=2,-1", "--params=-5"):
+    for params in ("--params=2,-1", "--params=-5", "--params=inf", "--params=1e300", "--params=1e17"):
         code, out, err = run(["sharpness", "--case", "thm21_r2", params], capsys)
         assert code == 64
         assert out == ""
         assert err.startswith("error: bump needs width > 0")
+
+
+def test_sharpness_bump_missing_every_node_exits_64(capsys):
+    # the support (1e15 - 1, 1e15 + 1) is valid but holds no quadrature node, so the quotient is 0/0
+    for fmt in ("text", "json", "csv"):
+        code, out, err = run(["sharpness", "--case", "thm21_r2", "--params=1e15", "--format", fmt], capsys)
+        assert (code, out) == (64, "")
+        assert err == "error: thm21_r2: bump_c1000000000000000.0_w1.0_p0 vanishes on the quadrature grid\n"
 
 
 def test_verify_json_deterministic_and_round_trips(capsys):

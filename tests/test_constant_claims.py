@@ -1,9 +1,9 @@
 """Claims about the exact constants that hold for every dimension N.
 
 ``chain_replay`` builds the remainder chain by replaying the cascade;
-``case_leading_constants`` gives its endpoints in closed form.  They agree
-for every N, not only at the dimensions sampled elsewhere, and the mode
-coefficients of ``anbn`` are smallest at n = 0.
+``case_leading_constants`` gives its endpoints in closed form.  For every
+l < k <= 10 they agree for every N, not only at the dimensions sampled
+elsewhere, and the mode coefficients of ``anbn`` are smallest at n = 0.
 """
 
 from fractions import Fraction as F
@@ -12,7 +12,7 @@ import pytest
 
 from poincare_hardy import CaseSpec, anbn, case_leading_constants, chain_replay
 
-CASES = [(k, l) for k in range(1, 9) for l in range(k)]
+CASES = [(k, l) for k in range(1, 11) for l in range(k)]
 
 
 def _forward_difference(values: list[F]) -> F:

@@ -23,7 +23,6 @@ from poincare_hardy import (
     constant_table,
     dk_ek,
     halfspace_constants,
-    harmonic_dim,
     lambda_n,
     poincare_constant,
     thm21_constants,
@@ -168,14 +167,8 @@ def test_constant_table_aux_entries():
     assert table.aux["B_0"] == F(4)
 
 
-def test_lambda_n_and_harmonic_dim():
+def test_lambda_n():
     assert [lambda_n(n, 5) for n in range(4)] == [0, 4, 10, 18]
-    assert harmonic_dim(0, 7) == 1
-    assert harmonic_dim(1, 7) == 7
-    assert harmonic_dim(2, 3) == 5
-    # classical low-dimensional families
-    assert all(harmonic_dim(n, 3) == 2 * n + 1 for n in range(1, 20))
-    assert all(harmonic_dim(n, 4) == (n + 1) ** 2 for n in range(1, 20))
     with pytest.raises(HypothesisError):
         lambda_n(-1, 5)
 

@@ -55,7 +55,7 @@ def test_integrate_on_span_equals_full_grid():
 def test_grid_requires_domain():
     with pytest.raises(TypeError):
         build_grid(QuadratureSpec())
-    for bad in (-1.0, 0.0, float("nan")):
+    for bad in (-1.0, 0.0, float("nan"), float("inf")):
         with pytest.raises(QuadratureError):
             build_grid(QuadratureSpec(), r_max=bad)
 

@@ -1,11 +1,11 @@
-"""Report records: dict payloads follow the declared fields and parse back field for field."""
+"""Report records: dict payloads follow the declared fields and parse back field for field; text and CSV keep their format."""
 
 import json
 from dataclasses import fields
 
 import pytest
 
-from poincare_hardy.reports import IdentityResidualReport, MarginReport, dumps_json
+from poincare_hardy.reports import IdentityResidualReport, MarginReport, dumps_csv, dumps_json
 
 REPORTS = [
     MarginReport("thm21", "bump_c2.0_w1.0_p0", 5, {"lap2": 2.5, "grad": -1.0, "r2": -0.25}, 1e-15, 1e-8),
@@ -39,3 +39,39 @@ def test_report_keys_follow_the_declared_fields():
         "kind", "identity", "function_id", "N", "n", "max_abs_residual", "max_rel_residual", "tol", "details", "verdict"
     ]
     assert list(identity["details"]) == ["alpha", "lhs", "rhs"]
+
+
+def test_text_lines_and_csv_rows_keep_their_format():
+    assert [r.line() for r in REPORTS] == [
+        "PASS thm21 bump_c2.0_w1.0_p0 N=5 margin=1.250000e+00 scale=3.750000e+00 noise=1.000e-15",
+        "PASS hardy1d_a bump_c2.0_w1.0_p0 margin=7.500000e-01 scale=1.250000e+00 noise=0.000e+00",
+        "PASS pf1 bump|bump N=5 max_rel=1.000e-15 max_abs=1.000e-14",
+        "PASS estimate1 bump_c2.0_w1.0_p0 N=5 n=0 max_rel=1.000e-15 max_abs=1.000e-14",
+    ]
+    head = ("thm21", "5", "bump_c2.0_w1.0_p0")
+    assert REPORTS[0].csv_rows() == [
+        (*head, "grad", "-1.0"),
+        (*head, "lap2", "2.5"),
+        (*head, "r2", "-0.25"),
+        (*head, "lhs", "2.5"),
+        (*head, "rhs", "1.25"),
+        (*head, "margin", "1.25"),
+        (*head, "scale", "3.75"),
+        (*head, "noise", "1e-15"),
+        (*head, "verdict", "1.0"),
+    ]
+    head = ("pf1", "5", "bump|bump")
+    assert REPORTS[2].csv_rows() == [
+        (*head, "alpha", "0.5"),
+        (*head, "lhs", "2.0"),
+        (*head, "rhs", "2.0"),
+        (*head, "max_abs_residual", "1e-14"),
+        (*head, "max_rel_residual", "1e-15"),
+        (*head, "verdict", "1.0"),
+    ]
+    # no N prints as an empty field; the mode n joins the label
+    assert dumps_csv(REPORTS[1].csv_rows()[:1] + REPORTS[3].csv_rows()[:1]) == (
+        "case,N,function_id,term,value\n"
+        "hardy1d_a,,bump_c2.0_w1.0_p0,lhs,1.0\n"
+        "estimate1_n0,5,bump_c2.0_w1.0_p0,max_abs_residual,1e-14\n"
+    )

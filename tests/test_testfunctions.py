@@ -95,9 +95,12 @@ def test_product_with_empty_support_is_rejected():
 
 
 def test_bump_with_empty_support_is_rejected():
-    # (max(c - w, 0), c + w) is empty or reversed; the grid up to c + w + 1
-    # would divide by zero or have no positive end
-    for center, width in ((-1.0, 1.0), (-5.0, 1.0), (2.0, 0.0), (2.0, -1.0), (2.0, float("nan"))):
+    # (max(c - w, 0), c + w) is empty, reversed, not finite, or collapses to one
+    # float; the grid up to c + w + 1 would divide by zero or have no positive end
+    inf = float("inf")
+    bad = ((-1.0, 1.0), (-5.0, 1.0), (2.0, 0.0), (2.0, -1.0), (2.0, float("nan")), (float("nan"), 1.0))
+    bad += ((inf, 1.0), (-inf, 1.0), (2.0, inf), (1e300, 1.0), (1e17, 1.0))
+    for center, width in bad:
         with pytest.raises(ValueError, match="bump needs width > 0"):
             Bump(center, width)
     assert Bump(-0.5, 1.0).support == (0.0, 0.5)
