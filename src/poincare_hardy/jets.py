@@ -8,9 +8,12 @@ carries exact (to machine precision) high-order derivatives everywhere on the
 grid.  This is what lets the verifier evaluate iterated Laplacians of a test
 function without symbolic differentiation or finite-difference noise.
 
-Coefficients live in an ``(..., order+1)`` float array whose last axis is the
-Taylor order; no other module reads that layout.  Products are convolutions
-along it, and reciprocal, exp and power share one series recurrence.
+Coefficients live in an ``(order+1, ...)`` float array whose first axis is
+the Taylor order, so each order is one contiguous grid-shaped slice; no other
+module reads that layout.  Products are convolutions over it, and reciprocal,
+exp and power share one series recurrence.  Every convolution sum starts from
+0 and adds its terms in ascending index order, one slice at a time, so the
+result does not depend on how numpy would group a reduction.
 """
 
 from __future__ import annotations
@@ -22,12 +25,17 @@ import numpy as np
 __all__ = ["Jet", "variable", "constant", "sinh_jet", "cosh_jet", "coth_jet", "coth"]
 
 
+def _with_grid_ndim(coef: np.ndarray, ndim: int) -> np.ndarray:
+    """``coef`` with unit grid axes inserted after the order axis up to ``ndim`` axes in all."""
+    return coef.reshape(coef.shape[:1] + (1,) * (ndim - coef.ndim) + coef.shape[1:])
+
+
 class Jet:
     """Truncated Taylor expansions of one function over a grid of points.
 
-    ``coef[..., j]`` holds ``f^(j)(x)/j!`` at each grid point ``x``.  The
-    leading axes are an arbitrary grid shape shared by all operands of an
-    expression.
+    ``coef[j]`` holds ``f^(j)(x)/j!`` at each grid point ``x``.  The trailing
+    axes are an arbitrary grid shape; the grids of two operands broadcast.
+    Binary operations need operands of one order.
     """
 
     __slots__ = ("coef",)
@@ -37,41 +45,49 @@ class Jet:
 
     @property
     def order(self) -> int:
-        return self.coef.shape[-1] - 1
+        return self.coef.shape[0] - 1
 
     @property
     def shape(self) -> tuple[int, ...]:
-        return self.coef.shape[:-1]
+        return self.coef.shape[1:]
 
     def value(self) -> np.ndarray:
-        return self.coef[..., 0]
+        return self.coef[0]
 
     def derivative(self, j: int = 1) -> np.ndarray:
         """Unscaled j-th derivative values, f^(j)(x)."""
         if not 0 <= j <= self.order:
             raise ValueError(f"derivative order {j} outside jet order {self.order}")
-        return self.coef[..., j] * math.factorial(j)
+        return self.coef[j] * math.factorial(j)
 
     def shift(self) -> "Jet":
         """The jet of f', one order shorter."""
         if self.order < 1:
             raise ValueError("cannot differentiate an order-0 jet")
         j = np.arange(1, self.order + 1, dtype=float)
-        return Jet(self.coef[..., 1:] * j)
+        return Jet(self.coef[1:] * _with_grid_ndim(j, self.coef.ndim))
 
     def truncate(self, order: int) -> "Jet":
         """Drop coefficients above the given order."""
         if order > self.order:
             raise ValueError(f"cannot extend an order-{self.order} jet to order {order}")
-        return Jet(self.coef[..., : order + 1])
+        return Jet(self.coef[: order + 1])
+
+    def _operands(self, other: "Jet") -> tuple[np.ndarray, np.ndarray]:
+        """Both coefficient arrays with their grid axes aligned; refuses jets of different orders."""
+        if other.order != self.order:
+            raise ValueError(f"jet orders differ: {self.order} and {other.order}")
+        ndim = max(self.coef.ndim, other.coef.ndim)
+        return _with_grid_ndim(self.coef, ndim), _with_grid_ndim(other.coef, ndim)
 
     # -- ring operations ---------------------------------------------------
 
     def __add__(self, other):
         if isinstance(other, Jet):
-            return Jet(self.coef + other.coef)
+            a, b = self._operands(other)
+            return Jet(a + b)
         out = self.coef.copy()
-        out[..., 0] += other
+        out[0] += other
         return Jet(out)
 
     __radd__ = __add__
@@ -88,12 +104,15 @@ class Jet:
     def __mul__(self, other):
         if not isinstance(other, Jet):
             return Jet(self.coef * other)
+        a, b = self._operands(other)
         n = self.order
-        a, b = self.coef, other.coef
-        out = np.zeros(np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (n + 1,))
-        for k in range(n + 1):
-            # convolution along the order axis
-            out[..., k] = np.einsum("...i,...i->...", a[..., : k + 1], b[..., k::-1])
+        out = np.zeros((n + 1,) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+        term = np.empty_like(out)
+        # out_k = sum_{i=0..k} a_i b_{k-i}: round i adds a_i b_{k-i} to every out_k, k >= i,
+        # so each sum takes its terms in ascending i
+        for i in range(n + 1):
+            np.multiply(a[i], b[: n + 1 - i], out=term[i:])
+            out[i:] += term[i:]
         return Jet(out)
 
     __rmul__ = __mul__
@@ -124,42 +143,47 @@ class Jet:
         """The series recurrence out_k = finish(sum_{i=1..k} w_{k,i} a_i out_{k-i}, k), out_0 = first.
 
         ``weights(i, k)`` gives w_{k,i} over the float array i = 1..k; None means
-        all ones and skips the product.
+        all ones and skips the product.  w_{k,i} a_i is rounded before it meets
+        out_{k-i}, and the sum starts from 0 and runs over ascending i.
         """
         a = self.coef
         out = np.zeros_like(a)
-        out[..., 0] = first
+        out[0] = first
         i = np.arange(1, self.order + 1, dtype=float)
         for k in range(1, self.order + 1):
-            head = a[..., 1 : k + 1]
-            acc = np.einsum("...i,...i->...", head if weights is None else weights(i[:k], k) * head, out[..., k - 1 :: -1])
-            out[..., k] = finish(acc, k)
+            head = a[1 : k + 1]
+            terms = head if weights is None else _with_grid_ndim(weights(i[:k], k), a.ndim) * head
+            terms = terms * out[k - 1 :: -1]
+            acc = np.zeros(a.shape[1:])
+            for term in terms:
+                acc += term
+            out[k] = finish(acc, k)
         return Jet(out)
 
     def where(self, mask: np.ndarray) -> "Jet":
         """This jet where ``mask`` holds, the zero jet elsewhere."""
-        return Jet(np.where(mask[..., None], self.coef, 0.0))
+        return Jet(np.where(mask, self.coef, 0.0))
 
     def with_value(self, value: np.ndarray) -> "Jet":
         """This jet with its order-0 coefficient replaced by ``value``."""
         coef = self.coef.copy()
-        coef[..., 0] = value
+        coef[0] = value
         return Jet(coef)
 
 
 def variable(x: np.ndarray, order: int) -> Jet:
     """Jet of the identity function at the points x."""
     x = np.asarray(x, dtype=float)
-    coef = np.zeros(x.shape + (order + 1,))
-    coef[..., 0] = x
+    coef = np.zeros((order + 1,) + x.shape)
+    coef[0] = x
     if order >= 1:
-        coef[..., 1] = 1.0
+        coef[1] = 1.0
     return Jet(coef)
 
 
 def constant(c, shape: tuple[int, ...], order: int) -> Jet:
-    coef = np.zeros(shape + (order + 1,))
-    coef[..., 0] = c
+    coef = np.zeros((order + 1,) + shape)
+    coef[0] = c
     return Jet(coef)
 
 
@@ -167,9 +191,9 @@ def _cycle_jet(x: np.ndarray, order: int, even, odd) -> Jet:
     """Jet of a function whose derivatives cycle even, odd, even, ... (sinh and cosh)."""
     x = np.asarray(x, dtype=float)
     cycle = (even(x), odd(x))
-    coef = np.empty(x.shape + (order + 1,))
+    coef = np.empty((order + 1,) + x.shape)
     for j in range(order + 1):
-        coef[..., j] = cycle[j % 2] / math.factorial(j)
+        coef[j] = cycle[j % 2] / math.factorial(j)
     return Jet(coef)
 
 

@@ -3,11 +3,15 @@
 For a radial function u(r) in geodesic polar coordinates the Laplacian is
 u'' + (N-1) coth(r) u'; iterating it and taking one more derivative covers
 every |grad^k u|^2 integrand: (Lap^m u)^2 for k = 2m and ((Lap^m u)')^2 for
-k = 2m+1.  ``RadialTable`` evaluates the whole tower once per test function
-and grid so the verifier's many integrals share one pipeline.  It does so only
-on the nodes strictly inside the support (``Grid.span``): outside it every
-jet coefficient of the profile is exactly 0, so is every level of the tower,
-and the table's arrays cover ``grid.nodes[table.span]`` alone.
+k = 2m+1.  ``RadialTable`` evaluates the whole tower once per test function,
+dimension and grid so the verifier's many integrals share one pipeline.  It
+does so only on the nodes strictly inside the support (``Grid.span``): outside
+it every jet coefficient of the profile is exactly 0, so is every level of the
+tower, and the table's arrays cover ``grid.nodes[table.span]`` alone.
+
+Only the Laplacian levels carry N.  The jets of u and of coth on those nodes
+are built once per (u, grid, order) and shared by the tables of every N; their
+coefficient arrays are read-only, so no table can write into another's.
 """
 
 from __future__ import annotations
@@ -53,15 +57,26 @@ def to_v_transform(u: RadialProfile, N: int, r: np.ndarray, order: int) -> Jet:
     return sinh_jet(r, order).power((N - 1) / 2.0) * u.jet(r, order)
 
 
+@functools.lru_cache(maxsize=8)
+def _profile_jets(u: RadialProfile, grid: Grid, order: int) -> tuple[Jet, Jet]:
+    """The jets of u and of coth on ``grid.nodes[grid.span(u.support)]``, read-only; they do not depend on N."""
+    r = grid.nodes[grid.span(u.support)]
+    jets = (u.jet(r, order), coth_jet(r, order))
+    for jet in jets:
+        jet.coef.flags.writeable = False
+    return jets
+
+
 class RadialTable:
-    """Values and first derivatives of u, Lap u, ..., Lap^levels u on the grid nodes in ``span``."""
+    """Values and first derivatives of u, Lap u, ..., Lap^levels u on the grid nodes in ``span``.
+
+    Level 0 is the shared profile jet of ``_profile_jets``: its arrays are read-only.
+    """
 
     def __init__(self, u: RadialProfile, N: int, grid: Grid, levels: int):
-        order = 2 * levels + 2
         self.span = grid.span(u.support)
-        r = grid.nodes[self.span]
-        cj = coth_jet(r, order)
-        tower = [u.jet(r, order)]
+        ujet, cj = _profile_jets(u, grid, 2 * levels + 2)
+        tower = [ujet]
         for _ in range(levels):
             tower.append(laplace_of_jet(tower[-1], cj, N))
         self.grid = grid

@@ -6,6 +6,8 @@ from a fresh lower-order jet, so each level is one O(h^2) step away from an
 exactly computed quantity instead of compounding difference noise.
 """
 
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -140,3 +142,110 @@ def test_jet_shapes_broadcast():
     j = sinh_jet(r, 2)
     assert j.shape == (2, 3)
     assert j.value().shape == (2, 3)
+    # a grid of lower rank broadcasts against the trailing grid axes, not the order axis
+    row = sinh_jet(r[0], 2)
+    for prod in (j * row, row * j):
+        assert prod.shape == (2, 3)
+        for i in range(2):
+            assert np.array_equal(prod.value()[i], (sinh_jet(r[i], 2) * row).value())
+            assert np.array_equal(prod.derivative(2)[i], (sinh_jet(r[i], 2) * row).derivative(2))
+
+
+def test_jet_layout_ops_on_a_grid():
+    r = np.linspace(0.5, 1.5, 6).reshape(2, 3)
+    j = sinh_jet(r, 4)
+    even, odd = np.sinh(r), np.cosh(r)
+    for k in range(5):
+        got = j.derivative(k)
+        assert got.shape == (2, 3)
+        np.testing.assert_allclose(got, odd if k % 2 else even, rtol=1e-15)
+    d = j.shift()
+    assert (d.order, d.shape) == (3, (2, 3))
+    for k in range(4):
+        np.testing.assert_allclose(d.derivative(k), even if k % 2 else odd, rtol=1e-15)
+    t = j.truncate(2)
+    assert (t.order, t.shape) == (2, (2, 3))
+    for k in range(3):
+        assert np.array_equal(t.derivative(k), j.derivative(k))
+    mask = np.array([[True, False, True], [False, True, False]])
+    w = j.where(mask)
+    assert (w.order, w.shape) == (4, (2, 3))
+    for k in range(5):
+        assert np.array_equal(w.derivative(k), np.where(mask, j.derivative(k), 0.0))
+    v = j.with_value(-r)
+    assert (v.order, v.shape) == (4, (2, 3))
+    assert np.array_equal(v.value(), -r)
+    for k in range(1, 5):
+        assert np.array_equal(v.derivative(k), j.derivative(k))
+    assert np.array_equal(j.value(), even)  # with_value copies
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_binary_ops_refuse_jets_of_different_orders(op):
+    r = np.array([0.5])
+    high, low = sinh_jet(r, 3), sinh_jet(r, 0)
+    with pytest.raises(ValueError, match="jet orders differ: 3 and 0"):
+        op(high, low)
+    with pytest.raises(ValueError, match="jet orders differ: 0 and 3"):
+        op(low, high)
+
+
+# Plain-Python references for the series rules, one grid point at a time.  Each
+# sum starts from 0.0 and adds its terms in ascending index order, as the jet
+# kernels promise; w_{k,i} a_i is rounded before it meets out_{k-i}.  The
+# order-0 coefficient comes from the same numpy call the kernel makes, so the
+# comparison pins the summation, not the platform's exp or pow.
+
+
+def _ref_mul(a, b):
+    out = []
+    for k in range(len(a)):
+        acc = 0.0
+        for i in range(k + 1):
+            acc += a[i] * b[k - i]
+        out.append(acc)
+    return out
+
+
+def _ref_recurrence(a, first, weight, finish):
+    out = [first]
+    for k in range(1, len(a)):
+        acc = 0.0
+        for i in range(1, k + 1):
+            wa = a[i] if weight is None else weight(float(i), k) * a[i]
+            acc += wa * out[k - i]
+        out.append(finish(acc, k))
+    return out
+
+
+_ALPHA = -0.7
+
+
+def _reference(name, a, b, coef):
+    """Reference coefficients of op ``name`` at one point with jet coefficients a, b (lists)."""
+    a0 = a[0]
+    if name == "mul":
+        return _ref_mul(a, b)
+    if name == "reciprocal":
+        inv0 = 1.0 / a0
+        return _ref_recurrence(a, inv0, None, lambda acc, k: -inv0 * acc)
+    if name == "exp":
+        return _ref_recurrence(a, coef[0], lambda i, k: i, lambda acc, k: acc / k)
+    return _ref_recurrence(a, coef[0], lambda i, k: i * (_ALPHA + 1.0) - k, lambda acc, k: acc / (k * a0))
+
+
+@pytest.mark.parametrize("name", ["mul", "reciprocal", "exp", "power"])
+def test_series_rules_equal_sequential_sums_bit_for_bit(name):
+    rng = np.random.default_rng(20151)
+    for order in range(11):
+        ca = rng.standard_normal((order + 1, 2, 3))
+        ca[0] = rng.uniform(0.5, 2.0, (2, 3))  # power and reciprocal need a positive value
+        cb = rng.standard_normal((order + 1, 2, 3))
+        a, b = Jet(ca), Jet(cb)
+        got = {"mul": lambda: a * b, "reciprocal": a.reciprocal, "exp": a.exp, "power": lambda: a.power(_ALPHA)}[name]()
+        assert (got.order, got.shape) == (order, (2, 3))
+        want = np.empty_like(got.coef)
+        for p in np.ndindex(2, 3):
+            point = (slice(None),) + p
+            want[point] = _reference(name, ca[point].tolist(), cb[point].tolist(), got.coef[point].tolist())
+        assert np.array_equal(got.coef, want), f"order {order}"

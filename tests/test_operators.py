@@ -7,6 +7,7 @@ from poincare_hardy import Bump, Cutoff, ExpDecay, Product, QuadratureSpec, Scal
 from poincare_hardy.jets import coth_jet
 from poincare_hardy.operators import (
     RadialTable,
+    _profile_jets,
     gradk_sq_values,
     laplace_of_jet,
     laplace_radial,
@@ -135,17 +136,39 @@ def test_jet_vanishes_outside_open_support(u):
     assert np.all(u.jet(r, 6).coef == 0.0)
 
 
+def _uncached_tower(u, N, r, levels):
+    """u, Lap u, ..., Lap^levels u at the points r, built from fresh jets."""
+    order = 2 * levels + 2
+    cj = coth_jet(r, order)
+    tower = [u.jet(r, order)]
+    for _ in range(levels):
+        tower.append(laplace_of_jet(tower[-1], cj, N))
+    return tower
+
+
 @pytest.mark.parametrize("refine", [0, 2])
 @pytest.mark.parametrize("u", [load_suite("standard")[-1], load_suite("origin")[-1]], ids=lambda u: u.id)
 def test_radial_table_on_span_equals_full_grid_tower(u, refine):
     N = 7
     grid = build_grid(QuadratureSpec(), u.support[1] + 1.0, refine)
     table = RadialTable(u, N, grid, 2)
-    r = grid.nodes
-    cj = coth_jet(r, 6)
-    full = [u.jet(r, 6)]
-    for _ in range(2):
-        full.append(laplace_of_jet(full[-1], cj, N))
-    for level, jet in enumerate(full):
+    for level, jet in enumerate(_uncached_tower(u, N, grid.nodes, 2)):
         assert np.array_equal(table.values(level), jet.value()[table.span])
         assert np.array_equal(table.deriv(level), jet.derivative(1)[table.span])
+
+
+def test_tables_of_every_dimension_share_one_read_only_profile_jet():
+    u = load_suite("origin")[-1]
+    grid = build_grid(QuadratureSpec(), u.support[1] + 1.0, 1)
+    t5, t9 = RadialTable(u, 5, grid, 2), RadialTable(u, 9, grid, 2)
+    ujet, cj = _profile_jets(u, grid, 6)
+    assert t5._tower[0] is t9._tower[0] is ujet
+    for N, table in ((5, t5), (9, t9)):
+        for level, jet in enumerate(_uncached_tower(u, N, grid.nodes[table.span], 2)):
+            assert np.array_equal(table.values(level), jet.value())
+            assert np.array_equal(table.deriv(level), jet.derivative(1))
+    for jet in (ujet, cj):
+        with pytest.raises(ValueError, match="read-only"):
+            jet.coef[0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):
+        t9.values(0)[0] = 1.0
