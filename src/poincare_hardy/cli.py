@@ -7,8 +7,8 @@ identities), ``sharpness`` (quotient tables approaching a constant), and
 canonical JSON (sorted keys, no timestamps), and long-form CSV with columns
 (case, N, function_id, term, value).
 
-Exit codes: 0 all verdicts pass, 1 at least one verdict failed, 2 numerical
-or internal failure, 64 usage or hypothesis error.
+Exit codes: 0 all verdicts pass, 1 at least one verdict failed, 2 numerical,
+memory or internal failure, 64 usage or hypothesis error.
 """
 
 from __future__ import annotations
@@ -313,6 +313,9 @@ def main(argv=None) -> int:
         return 2
     except (QuadratureError, ArithmeticError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # a grid or field too large for this machine
+        print(f"memory failure: {exc}", file=sys.stderr)
         return 2
     try:
         _emit(args, content)

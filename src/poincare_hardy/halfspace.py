@@ -113,7 +113,6 @@ class PlaneGrid:
     wr: np.ndarray
     y: np.ndarray
     wy: np.ndarray
-    refine: int
 
     def integrate(self, values: np.ndarray, rows=1.0, cols=1.0) -> float:
         """Tensor sum of an (n_rho, n_y) array times ``rows`` (over rho) and ``cols`` (over y)."""
@@ -125,7 +124,7 @@ def build_plane_grid(spec: PlaneQuadratureSpec, box: tuple[float, float, float],
     panels = spec.panels * (1 << refine)
     rho, wr = _panel_rule(np.linspace(0.0, rho_hi, panels + 1), spec.nodes_per_panel)
     y, wy = _panel_rule(np.linspace(y_lo, y_hi, panels + 1), spec.nodes_per_panel)
-    return PlaneGrid(rho, wr, y, wy, refine)
+    return PlaneGrid(rho, wr, y, wy)
 
 
 def converge_plane_terms(fn, spec: PlaneQuadratureSpec, box):

@@ -3,13 +3,13 @@
 The ambient inequalities are proved by expanding a test function in spherical
 modes and substituting v = sinh^{(N-1)/2} d for each radial part d, which
 flattens the volume element.  This module checks the substitution identities
-pointwise (two independent jet pipelines) and the two integral estimates that
+pointwise (both sides from one jet of u) and the two integral estimates that
 the mode argument rests on, and exposes the slack decomposition that rebuilds
 the n = 0 remainder from the three one-dimensional lemmas.
 
-All integrals come from one raw family over an order-2 jet f under dr (f = v
-for the estimates, f = u for the lemmas); the estimates, the lemmas and the
-slacks are exact coefficient tables over it.
+The estimates and slacks are exact coefficient tables over one raw family of
+integrals of v under dr, from d's shared profile jet on each grid; the lemmas
+are verifier tables at N = 1 (measure dr, Laplacian d^2/dr^2), in one loop.
 """
 
 from __future__ import annotations
@@ -21,11 +21,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from .constants import CaseSpec, lambda_n, poincare_constant, thm21_constants
-from .jets import coth
+from .jets import coth, coth_jet
 from .profiles import RadialProfile
-from .operators import laplace_radial, to_v_transform
+from .operators import _profile_jets, laplace_of_jet, to_v_transform
 from .quadrature import QuadratureSpec, _chebyshev, _support_r_max, converge_terms, weight_values
 from .reports import IdentityResidualReport, MarginReport, ordered_sum
+from .verify import _coefficients, _integrals
 
 __all__ = [
     "identity_sample_points",
@@ -51,12 +52,13 @@ def check_ph1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualR
     """|grad u|^2 against its form in v = sinh^{(N-1)/2} u, pointwise.
 
     sinh^{N-1}(r) |grad u|^2 = (v')^2 + ((N-1)^2/4) coth^2(r) v^2
-    - (N-1) coth(r) v v', checked on a Chebyshev grid with independent jet
-    pipelines for the two sides.
+    - (N-1) coth(r) v v', checked on a Chebyshev grid.  Both sides come from one
+    jet of u: the identity is algebraic in (u, u'), so it tests the substitution.
     """
     r = identity_sample_points(u)
-    lhs = u.jet(r, 1).derivative(1) ** 2
-    w = to_v_transform(u, N, r, 1)
+    ujet = u.jet(r, 1)
+    lhs = ujet.derivative(1) ** 2
+    w = to_v_transform(ujet, N, r)
     v, dv = w.value(), w.derivative(1)
     c = coth(r)
     rhs = np.sinh(r) ** (1 - N) * (dv**2 + ((N - 1) ** 2 / 4.0) * c**2 * v**2 - (N - 1) * c * v * dv)
@@ -65,13 +67,14 @@ def check_ph1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualR
 
 @np.errstate(over="ignore", invalid="ignore")  # as in check_ph1
 def check_trans1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualReport:
-    """The radial Laplacian against its v-side form, pointwise.
+    """The radial Laplacian against its v-side form, pointwise, both sides from one jet of u.
 
     Lap u = sinh^{-(N-1)/2}(r) [v'' - (((N-1)(N-3)/4) coth^2(r) + (N-1)/2) v].
     """
     r = identity_sample_points(u)
-    lhs = laplace_radial(u, N, r, order=0).value()
-    w = to_v_transform(u, N, r, 2)
+    ujet = u.jet(r, 2)
+    lhs = laplace_of_jet(ujet, coth_jet(r, 2), N).value()
+    w = to_v_transform(ujet, N, r)
     v, ddv = w.value(), w.derivative(2)
     c = coth(r)
     potential = ((N - 1) * (N - 3) / 4.0) * c**2 + (N - 1) / 2.0
@@ -79,59 +82,52 @@ def check_trans1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidu
     return IdentityResidualReport.from_sides("trans1", u.id, N, None, lhs, rhs, tol)
 
 
-# The raw family {key: integrand(t)}: t carries f, df = f', ddf = f'', coth r
+# The raw family {key: integrand(t)}: t carries v, dv = v', ddv = v'', coth r
 # and the ``_WEIGHTS`` by their ``weight_values`` names, the values the verifier
-# integrates.  The first seven keys are the lemma terms, the rest appear only in the estimates.
+# integrates.  The first seven keys are the ``_LEMMAS`` terms, which the slacks read over v.
 _WEIGHTS = ("inv_r2", "inv_r4", "inv_sinh2", "inv_sinh4")
 _RAW = {
-    "grad_sinh2": lambda t: t.df**2 * t.inv_sinh2,
-    "sinh4": lambda t: t.f**2 * t.inv_sinh4,
-    "sinh2": lambda t: t.f**2 * t.inv_sinh2,
-    "grad": lambda t: t.df**2,
-    "r2": lambda t: t.f**2 * t.inv_r2,
-    "lap2": lambda t: t.ddf**2,
-    "r4": lambda t: t.f**2 * t.inv_r4,
-    "v2": lambda t: t.f**2,
-    "c_v_dv": lambda t: t.coth * t.f * t.df,
-    "c2_v2": lambda t: t.coth**2 * t.f**2,
-    "ddv_c2v": lambda t: t.ddf * t.coth**2 * t.f,
-    "ddv_v": lambda t: t.ddf * t.f,
-    "ddv_v_s2": lambda t: t.ddf * t.f * t.inv_sinh2,
-    "c2_v2_s2": lambda t: t.coth**2 * t.f**2 * t.inv_sinh2,
-    "c4_v2": lambda t: t.coth**4 * t.f**2,
+    "grad_sinh2": lambda t: t.dv**2 * t.inv_sinh2,
+    "sinh4": lambda t: t.v**2 * t.inv_sinh4,
+    "sinh2": lambda t: t.v**2 * t.inv_sinh2,
+    "grad": lambda t: t.dv**2,
+    "r2": lambda t: t.v**2 * t.inv_r2,
+    "lap2": lambda t: t.ddv**2,
+    "r4": lambda t: t.v**2 * t.inv_r4,
+    "v2": lambda t: t.v**2,
+    "c_v_dv": lambda t: t.coth * t.v * t.dv,
+    "c2_v2": lambda t: t.coth**2 * t.v**2,
+    "ddv_c2v": lambda t: t.ddv * t.coth**2 * t.v,
+    "ddv_v": lambda t: t.ddv * t.v,
+    "ddv_v_s2": lambda t: t.ddv * t.v * t.inv_sinh2,
+    "c2_v2_s2": lambda t: t.coth**2 * t.v**2 * t.inv_sinh2,
+    "c4_v2": lambda t: t.coth**4 * t.v**2,
 }
 
-# {case: {term: exact coefficient}} over the raw integrals.  The lemmas read
-# the order-2 jet of u directly: an N = 1 Laplacian tower gives the same
-# integrals at several times the cost.
+# {case: {term: (k, weight, coef)}}: verifier tables at N = 1, where the measure is dr and the Laplacian u''
 _LEMMAS = {
-    "hardy1d_sinh": {"grad_sinh2": 1, "sinh4": -F(9, 4), "sinh2": -1},
-    "hardy1d_hardy": {"grad": 1, "r2": -F(1, 4)},
-    "hardy1d_rellich": {"lap2": 1, "r4": -F(9, 16)},
+    "hardy1d_sinh": {"grad_sinh2": (1, "inv_sinh2", 1), "sinh4": (0, "inv_sinh4", -F(9, 4)), "sinh2": (0, "inv_sinh2", -1)},
+    "hardy1d_hardy": {"grad": (1, "one", 1), "r2": (0, "inv_r2", -F(1, 4))},
+    "hardy1d_rellich": {"lap2": (2, "one", 1), "r4": (0, "inv_r4", -F(9, 16))},
 }
-
-
-def _raw_integrals(u: RadialProfile, jet, spec: QuadratureSpec, keys):
-    """Converged ``_RAW`` integrals ``keys`` for the order-2 jet ``jet(r)``, zero outside u's support."""
-    @np.errstate(over="ignore", invalid="ignore")  # as in check_ph1
-    def terms(grid):
-        span = grid.span(u.support)
-        r = grid.nodes[span]
-        f = jet(r)
-        weights = {name: weight_values(name, r) for name in _WEIGHTS}
-        t = SimpleNamespace(f=f.value(), df=f.derivative(1), ddf=f.derivative(2), coth=coth(r), **weights)
-        return {key: grid.integrate(_RAW[key](t), span) for key in keys}
-
-    return converge_terms(terms, spec, _support_r_max(u))
 
 
 @functools.lru_cache(maxsize=8)
 def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
-    """Every raw integral of v = sinh^{(N-1)/2} d; none depends on the mode n.
+    """Every ``_RAW`` integral of v = sinh^{(N-1)/2} d, zero outside d's support; none depends on the mode n.
 
     Cached, so callers share the returned dicts and must not change them.
     """
-    return _raw_integrals(d, lambda r: to_v_transform(d, N, r, 2), spec, tuple(_RAW))
+    @np.errstate(over="ignore", invalid="ignore")  # as in check_ph1
+    def terms(grid):
+        span = grid.span(d.support)
+        r = grid.nodes[span]
+        v = to_v_transform(_profile_jets(d, grid, 2)[0], N, r)
+        weights = {name: weight_values(name, r) for name in _WEIGHTS}
+        t = SimpleNamespace(v=v.value(), dv=v.derivative(1), ddv=v.derivative(2), coth=coth(r), **weights)
+        return {key: grid.integrate(integrand(t), span) for key, integrand in _RAW.items()}
+
+    return converge_terms(terms, spec, _support_r_max(d))
 
 
 def _combine(vals: dict, coef: dict) -> float:
@@ -212,6 +208,7 @@ def check_estimate2(
     return _check_estimate(_estimate2_sides, "estimate2", d, n, N, spec, tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # sinh and cosh overflow past r = 710; the weights then read 0
 def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> list[MarginReport]:
     """The three one-dimensional lemmas on (0, infinity) with measure dr.
 
@@ -219,9 +216,9 @@ def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: f
     int (u')^2       >= (1/4) int u^2/r^2
     int (u'')^2      >= (9/16) int u^2/r^4
     """
-    keys = [key for coef in _LEMMAS.values() for key in coef]
-    vals, errs = _raw_integrals(u, lambda r: u.jet(r, 2), spec or QuadratureSpec(), keys)
-    return [MarginReport.from_integrals(case, u.id, None, vals, errs, coef, tol) for case, coef in _LEMMAS.items()]
+    integrands = {key: (k, weight) for table in _LEMMAS.values() for key, (k, weight, _) in table.items()}
+    vals, errs = _integrals(u, 1, spec or QuadratureSpec(), integrands)
+    return [MarginReport.from_integrals(case, u.id, None, vals, errs, _coefficients(t), tol) for case, t in _LEMMAS.items()]
 
 
 def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | None = None) -> dict[str, float]:
@@ -240,7 +237,7 @@ def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | N
     pieces = {key: float(c[f"c_{key}"]) * vals[key] for key in ("r4", "r2", "sinh4", "sinh2")}
     hardy = poincare_constant(CaseSpec(2, 1, N))
     for lemma, weight in (("rellich", 1), ("hardy", hardy), ("sinh", F((N - 1) * (N - 3), 2))):
-        pieces[f"slack_{lemma}"] = float(weight) * _combine(vals, _LEMMAS[f"hardy1d_{lemma}"])
+        pieces[f"slack_{lemma}"] = float(weight) * _combine(vals, _coefficients(_LEMMAS[f"hardy1d_{lemma}"]))
     recomposed = ordered_sum(pieces.values())
     scale = abs(margin_direct) + abs(recomposed)
     out = {

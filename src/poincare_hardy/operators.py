@@ -10,8 +10,10 @@ it every jet coefficient of the profile is exactly 0, so is every level of the
 tower, and the table's arrays cover ``grid.nodes[table.span]`` alone.
 
 Only the Laplacian levels carry N.  The jets of u and of coth on those nodes
-are built once per (u, grid, order) and shared by the tables of every N; their
-coefficient arrays are read-only, so no table can write into another's.
+are built once per (u, grid, order) and serve every radial grid integral (the
+tables of every N, and the v-side integrals of ``identities``); their arrays
+are read-only, so no caller can write into another's.  A table of m levels
+needs order 2m + 1: its top level is read only as a value and a slope.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .jets import Jet, coth_jet, sinh_jet
 from .profiles import RadialProfile
-from .quadrature import Grid, QuadratureSpec, build_grid
+from .quadrature import Grid
 
 __all__ = [
     "laplace_of_jet",
@@ -40,21 +42,20 @@ def laplace_of_jet(ujet: Jet, coth_full: Jet, N: int) -> Jet:
     if q < 0:
         raise ValueError("need jet order >= 2 to apply the Laplacian")
     second = ujet.shift().shift()
-    first = ujet.shift().truncate(q)
-    return second + coth_full.truncate(q) * first * float(N - 1)
+    if N == 1:  # the Laplacian on (0, infinity) under dr: coth, nan past r = 710, is not read
+        return second
+    return second + coth_full.truncate(q) * ujet.shift().truncate(q) * float(N - 1)
 
 
 def laplace_radial(u: RadialProfile, N: int, r: np.ndarray, order: int = 0) -> Jet:
     """Jet of the hyperbolic Laplacian of a radial profile at the points r."""
     r = np.asarray(r, dtype=float)
-    ujet = u.jet(r, order + 2)
-    return laplace_of_jet(ujet, coth_jet(r, order + 2), N)
+    return laplace_of_jet(u.jet(r, order + 2), coth_jet(r, order + 2), N)
 
 
-def to_v_transform(u: RadialProfile, N: int, r: np.ndarray, order: int) -> Jet:
-    """Jet of v = sinh^{(N-1)/2}(r) * u(r), the substitution that flattens the measure."""
-    r = np.asarray(r, dtype=float)
-    return sinh_jet(r, order).power((N - 1) / 2.0) * u.jet(r, order)
+def to_v_transform(ujet: Jet, N: int, r: np.ndarray) -> Jet:
+    """Jet of v = sinh^{(N-1)/2}(r) * u(r), the substitution that flattens the measure, from u's jet at r."""
+    return sinh_jet(np.asarray(r, dtype=float), ujet.order).power((N - 1) / 2.0) * ujet
 
 
 @functools.lru_cache(maxsize=8)
@@ -75,11 +76,10 @@ class RadialTable:
 
     def __init__(self, u: RadialProfile, N: int, grid: Grid, levels: int):
         self.span = grid.span(u.support)
-        ujet, cj = _profile_jets(u, grid, 2 * levels + 2)
+        ujet, cj = _profile_jets(u, grid, 2 * levels + 1)
         tower = [ujet]
         for _ in range(levels):
             tower.append(laplace_of_jet(tower[-1], cj, N))
-        self.grid = grid
         self.levels = levels
         self._tower = tower
 
@@ -101,8 +101,6 @@ def gradk_sq_values(table: RadialTable, k: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=8)
-def radial_table(
-    u: RadialProfile, N: int, spec: QuadratureSpec, r_max: float, refine: int, levels: int
-) -> RadialTable:
-    """Cached table so margin families over the same test function share jets."""
-    return RadialTable(u, N, build_grid(spec, r_max, refine), levels)
+def radial_table(u: RadialProfile, N: int, grid: Grid, levels: int) -> RadialTable:
+    """Cached table so margin families over the same test function and grid share jets."""
+    return RadialTable(u, N, grid, levels)

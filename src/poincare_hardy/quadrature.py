@@ -65,12 +65,11 @@ class QuadratureSpec:
 class Grid:
     """Nodes and weights of a composite Gauss-Legendre rule on (0, r_max]."""
 
-    __slots__ = ("nodes", "weights", "refine")
+    __slots__ = ("nodes", "weights")
 
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray, refine: int):
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
         self.nodes = nodes
         self.weights = weights
-        self.refine = refine
 
     def span(self, support: tuple[float, float] | None) -> slice:
         """The nodes strictly inside ``support``, as a slice; every node when it is None.
@@ -115,8 +114,7 @@ def _cached_grid(spec: QuadratureSpec, r_max: float, refine: int) -> Grid:
     else:
         ratio = _MIN_BREAK_FRACTION ** (1.0 / (panels - 1))
         breaks = np.concatenate(([0.0], r_max * ratio ** np.arange(panels - 1, -1, -1.0)))
-    nodes, weights = _panel_rule(breaks, spec.nodes_per_panel)
-    return Grid(nodes, weights, refine)
+    return Grid(*_panel_rule(breaks, spec.nodes_per_panel))
 
 
 def _support_r_max(u) -> float:

@@ -9,7 +9,8 @@ panel doubling and returns a MarginReport whose verdict demands the margin be
 nonnegative up to tol * scale with quadrature noise below the same gate.  A
 report can therefore fail either because the inequality is violated or
 because the integrals cannot be trusted at the requested tolerance.  A new
-inequality is one more table.
+inequality is one more table.  The 1-D lemmas (``verify --case hardy1d``) are
+three tables at N = 1, where the measure is dr and the Laplacian d^2/dr^2.
 """
 
 from __future__ import annotations
@@ -45,11 +46,10 @@ def _inv_r(power: int) -> str:
 
 def _integrals(u, N, spec, integrands):
     """Converged ``{term: int |grad^k u|^2 * weight dV}`` for ``integrands = {term: (k, weight)}``."""
-    r_max = _support_r_max(u)
     levels = max(k for k, _ in integrands.values()) // 2
 
     def fn(grid):
-        table = radial_table(u, N, spec, r_max, grid.refine, levels)
+        table = radial_table(u, N, grid, levels)
         r = grid.nodes[table.span]
         mu = measure_values(r, N)
         out = {}
@@ -60,14 +60,18 @@ def _integrals(u, N, spec, integrands):
             out[key] = grid.integrate(values * mu, table.span)
         return out
 
-    return converge_terms(fn, spec, r_max)
+    return converge_terms(fn, spec, _support_r_max(u))
+
+
+def _coefficients(table: dict) -> dict:
+    """``{term: coef}`` of a table ``{term: (k, weight, coef)}``."""
+    return {key: c for key, (_, _, c) in table.items()}
 
 
 def _margin(case, u, N, table, spec, tol) -> MarginReport:
     """Evaluate one inequality table ``{term: (k, weight, coef)}`` on u."""
     vals, errs = _integrals(u, N, spec or QuadratureSpec(), {key: (k, w) for key, (k, w, _) in table.items()})
-    coef = {key: c for key, (_, _, c) in table.items()}
-    return MarginReport.from_integrals(case, u.id, N, vals, errs, coef, tol)
+    return MarginReport.from_integrals(case, u.id, N, vals, errs, _coefficients(table), tol)
 
 
 def _chain_table(case: CaseSpec, top: str, bottom: str) -> dict:

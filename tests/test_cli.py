@@ -121,6 +121,31 @@ def test_bad_alpha_exits_64(which, alpha, message, capsys):
     assert f"argument --alpha: {message}" in capsys.readouterr().err
 
 
+_NO_MEMORY = "Unable to allocate 74.5 TiB for an array with shape (3200000, 3200000) and data type float64"
+
+
+def _out_of_memory(*args, **kwargs):
+    raise MemoryError(_NO_MEMORY)
+
+
+@pytest.mark.parametrize(
+    "argv, module, attr",
+    [
+        (["halfspace", "--which", "rellich1"], "poincare_hardy.halfspace", "_inverse_distance_sq"),
+        (["verify", "--case", "thm21", "--N", "5"], "poincare_hardy.quadrature.Grid", "integrate"),
+    ],
+    ids=["halfspace", "verify"],
+)
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_allocation_failure_exits_2_quietly(argv, module, attr, fmt, capsys, monkeypatch):
+    # an allocation too large for the machine is an infrastructure failure, not a failed verdict
+    monkeypatch.setattr(f"{module}.{attr}", _out_of_memory)
+    code, out, err = run([*argv, "--format", fmt], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"memory failure: {_NO_MEMORY}\n"
+
+
 def test_measure_overflow_exits_2(capsys):
     # sinh^159 overflows past r = 690/159 = 4.34; the suite's bump_c3.5_w1.0
     # reaches 4.5, and only nodes inside a support are evaluated

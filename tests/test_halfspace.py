@@ -136,7 +136,7 @@ def test_separable_terms_match_tensor_integrand(which, suite, monkeypatch):
         want = _tensor_terms(which, v, N, grid, alpha)
         assert got.keys() == want.keys()
         for key, value in want.items():
-            assert abs(got[key] - value) <= 1e-13 * abs(value), (grid.refine, key)
+            assert abs(got[key] - value) <= 1e-13 * abs(value), (grid.rho.size, key)
 
 
 def test_rellich1_terms_match_trapezoid_oracle():

@@ -29,7 +29,7 @@ from poincare_hardy.identities import (
     identity_sample_points,
     mode_margin_decomposition,
 )
-from poincare_hardy.operators import to_v_transform
+from poincare_hardy.operators import _profile_jets, to_v_transform
 from poincare_hardy.quadrature import build_grid
 
 
@@ -87,6 +87,19 @@ def test_mode_integrals_converge_once_for_both_estimates_and_modes(monkeypatch):
     assert len(calls) == 1
 
 
+def test_estimates_of_every_dimension_read_one_profile_jet_per_grid(monkeypatch):
+    # v = sinh^{(N-1)/2} d depends on N, d's jet does not: N = 5, 7 and 9 share it on each grid
+    sizes = []
+    jet = Bump.jet
+    monkeypatch.setattr(Bump, "jet", lambda self, r, order: sizes.append(np.size(r)) or jet(self, r, order))
+    identities._mode_raw_integrals.cache_clear()
+    _profile_jets.cache_clear()
+    u = Bump(2.0, 1.0, 1)
+    for N in (5, 7, 9):
+        assert check_estimate1(u, 0, N).verdict
+    assert sizes and len(sizes) == len(set(sizes)), sizes
+
+
 def test_estimate1_residual_scale_invariant():
     u = Bump(2.0, 1.0, 1)
     base = check_estimate1(u, 1, 7)
@@ -121,7 +134,7 @@ def test_estimate2_printed_sign_variant_fails():
     d, n, N = Bump(2.0, 1.0, 0), 1, 5
     spec = QuadratureSpec()
     grid = build_grid(spec, 4.0, refine=2)
-    w = to_v_transform(d, N, grid.nodes, 1)
+    w = to_v_transform(d.jet(grid.nodes, 1), N, grid.nodes)
     v, dv = w.value(), w.derivative(1)
     inv_s2 = np.sinh(grid.nodes) ** -2.0
     c = 1.0 / np.tanh(grid.nodes)
@@ -151,6 +164,20 @@ def test_1d_lemmas_need_compact_support():
 
     with pytest.raises(ValueError):
         check_1d_lemmas(ExpDecay(2.0))
+
+
+def test_1d_lemmas_on_a_support_past_coth_overflow():
+    # coth's jet is nan past r = 710; at N = 1 the Laplacian is u'' and reads no coth
+    reports = check_1d_lemmas(Bump(400.0, 330.0))
+    assert [r.case for r in reports] == ["hardy1d_sinh", "hardy1d_hardy", "hardy1d_rellich"]
+    assert all(r.verdict for r in reports)
+
+
+def test_1d_lemmas_past_sinh_overflow_refuse_quietly():
+    # sinh r overflows past r = 710, so every 1/sinh weight reads 0: the sinh lemma
+    # has nothing to certify, and no numpy warning may come before that refusal
+    with pytest.raises(ValueError, match="vanishes on the quadrature grid"):
+        check_1d_lemmas(Bump(705.0, 10.0))
 
 
 @pytest.mark.parametrize("N", [5, 7, 9])

@@ -3,9 +3,10 @@
 Every margin verdict demands ``noise <= tol * scale``, where ``noise`` adds up
 the per-term errors that the panel-doubling loop reports.  Here each of those
 errors is checked against the true error of its integral, computed with
-``mpmath.quad`` on the bump's closed form and its derivative.  Both families
-are covered: the verifier's terms under the hyperbolic measure and the 1-D
-lemma terms of ``identities`` under dr, which share the verifier's weights.
+``mpmath.quad`` on the bump's closed form and its first two derivatives.
+Both families are covered: the verifier's terms under the hyperbolic measure
+and the 1-D lemma terms of ``identities`` under dr, which are the verifier's
+terms at N = 1 (measure 1, Laplacian u'').
 """
 
 import mpmath
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 from poincare_hardy import Bump, QuadratureSpec
-from poincare_hardy.identities import _raw_integrals
 from poincare_hardy.verify import _integrals
 
 # term -> (k, weight) as the verifier names them: |grad^k u|^2 * weight
@@ -25,7 +25,7 @@ TERMS = {
     "grad": (1, "one"),
 }
 
-# the 1-D lemma terms by their ``identities`` names, in the same (k, weight) form
+# the 1-D lemma terms by their ``identities`` names; "lap2" is u''^2, the N = 1 Laplacian squared
 LEMMA_TERMS = {
     "grad_sinh2": (1, "inv_sinh2"),
     "sinh4": (0, "inv_sinh4"),
@@ -33,6 +33,7 @@ LEMMA_TERMS = {
     "r2": (0, "inv_r2"),
     "r4": (0, "inv_r4"),
     "grad": (1, "one"),
+    "lap2": (2, "one"),
 }
 
 WEIGHTS = {
@@ -53,15 +54,25 @@ MEMBERS = [
 
 
 def _reference(u: Bump, terms: dict, measure) -> dict[str, mpmath.mpf]:
-    """int |u^(k)|^2 weight(r) measure(r) dr over the support for every term, at 32 digits."""
+    """int |u^(k)|^2 weight(r) measure(r) dr over the support for every term, at 32 digits.
+
+    k = 2 is u'', which the terms use only at N = 1, where it is the Laplacian.
+    """
     c, w, p = mpmath.mpf(u.center), mpmath.mpf(u.width), u.power
 
     def parts(r):
         t = (r - c) / w
         core = mpmath.exp(-1 / (1 - t * t))
-        value = r**p * core
-        slope = (p * r ** (p - 1) if p else 0) * core - value * 2 * t / (w * (1 - t * t) ** 2)
-        return value, slope
+        # core' = core * h and h' = dh, both in r; u = r^p core by the product rule
+        h = -2 * t / (w * (1 - t * t) ** 2)
+        dh = -(2 + 6 * t * t) / (w * w * (1 - t * t) ** 3)
+        power = r**p
+        dpower = p * r ** (p - 1) if p else 0
+        ddpower = p * (p - 1) * r ** (p - 2) if p > 1 else 0
+        value = power * core
+        slope = (dpower + power * h) * core
+        curve = (ddpower + 2 * dpower * h + power * (h * h + dh)) * core
+        return value, slope, curve
 
     lo, hi = u.support
     with mpmath.workdps(32):
@@ -88,5 +99,5 @@ def test_noise_bounds_the_true_error(u, N, spec):
 
 @pytest.mark.parametrize("u, spec", [(u, spec) for u, _, spec in MEMBERS], ids=[u.id for u, _, _ in MEMBERS])
 def test_lemma_noise_bounds_the_true_error(u, spec):
-    vals, errs = _raw_integrals(u, lambda r: u.jet(r, 2), spec, tuple(LEMMA_TERMS))
+    vals, errs = _integrals(u, 1, spec, LEMMA_TERMS)
     _assert_bounded(vals, errs, _reference(u, LEMMA_TERMS, lambda r: 1))

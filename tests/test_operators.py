@@ -40,7 +40,7 @@ def test_laplace_matches_difference_quotients():
 
 def _points(r):
     """A Grid holding just the sample points, for building a RadialTable on them."""
-    return Grid(r, np.ones_like(r), 0)
+    return Grid(r, np.ones_like(r))
 
 
 def test_iterated_laplace_composes():
@@ -63,9 +63,9 @@ def test_grad_norm_sq():
 def test_to_v_transform_values_and_derivative():
     u, N = Bump(2.0, 1.0, 0), 5
     r = np.linspace(1.2, 2.8, 9)
-    w = to_v_transform(u, N, r, 1)
+    w = to_v_transform(u.jet(r, 1), N, r)
     np.testing.assert_allclose(w.value(), np.sinh(r) ** 2.0 * u(r), rtol=1e-13)
-    fd = central_diff(lambda x: to_v_transform(u, N, x, 0).value(), r)
+    fd = central_diff(lambda x: to_v_transform(u.jet(x, 0), N, x).value(), r)
     scale = np.max(np.abs(w.derivative(1)))
     assert np.max(np.abs(w.derivative(1) - fd)) / scale < 1e-6
 
@@ -73,8 +73,9 @@ def test_to_v_transform_values_and_derivative():
 def test_gradk_sq_parity_dispatch():
     u, N = Bump(2.0, 1.0, 0), 5
     spec = QuadratureSpec()
-    table = radial_table(u, N, spec, 4.0, 0, 2)
-    r = table.grid.nodes[table.span]
+    grid = build_grid(spec, 4.0)
+    table = radial_table(u, N, grid, 2)
+    r = grid.nodes[table.span]
     np.testing.assert_allclose(gradk_sq_values(table, 0), u(r) ** 2, rtol=1e-13)
     np.testing.assert_allclose(gradk_sq_values(table, 1), u.jet(r, 1).derivative(1) ** 2, rtol=1e-13)
     np.testing.assert_allclose(
@@ -91,10 +92,10 @@ def test_gradk_sq_parity_dispatch():
 
 def test_radial_table_is_cached():
     u, spec = Bump(2.0, 1.0, 0), QuadratureSpec()
-    t1 = radial_table(u, 5, spec, 4.0, 1, 1)
-    t2 = radial_table(u, 5, spec, 4.0, 1, 1)
+    t1 = radial_table(u, 5, build_grid(spec, 4.0, 1), 1)
+    t2 = radial_table(u, 5, build_grid(spec, 4.0, 1), 1)
     assert t1 is t2
-    t3 = radial_table(u, 5, spec, 4.0, 2, 1)
+    t3 = radial_table(u, 5, build_grid(spec, 4.0, 2), 1)
     assert t3 is not t1
 
 
@@ -161,7 +162,8 @@ def test_tables_of_every_dimension_share_one_read_only_profile_jet():
     u = load_suite("origin")[-1]
     grid = build_grid(QuadratureSpec(), u.support[1] + 1.0, 1)
     t5, t9 = RadialTable(u, 5, grid, 2), RadialTable(u, 9, grid, 2)
-    ujet, cj = _profile_jets(u, grid, 6)
+    # two levels need order 5: the top level is read only through its value and first derivative
+    ujet, cj = _profile_jets(u, grid, 5)
     assert t5._tower[0] is t9._tower[0] is ujet
     for N, table in ((5, t5), (9, t9)):
         for level, jet in enumerate(_uncached_tower(u, N, grid.nodes[table.span], 2)):

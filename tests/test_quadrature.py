@@ -133,8 +133,10 @@ def test_converge_terms_respects_doubling_budget():
     seen = []
 
     def fn(grid):
-        seen.append(grid.refine)
-        return {"v": float(grid.refine)}  # never converges
+        seen.append(grid.nodes.size)
+        return {"v": float(len(seen))}  # never converges
 
-    converge_terms(fn, QuadratureSpec(max_doublings=2), 1.0)
-    assert seen == [0, 1, 2]
+    spec = QuadratureSpec(max_doublings=2)
+    converge_terms(fn, spec, 1.0)
+    n = spec.panels * spec.nodes_per_panel
+    assert seen == [n, 2 * n, 4 * n]
