@@ -24,7 +24,7 @@ from .constants import CaseSpec, lambda_n, poincare_constant, thm21_constants
 from .jets import coth, coth_jet
 from .profiles import RadialProfile
 from .operators import _profile_jets, laplace_of_jet, to_v_transform
-from .quadrature import QuadratureSpec, _chebyshev, _support_r_max, converge_terms, weight_values
+from .quadrature import QuadratureSpec, _chebyshev, _span_weight, _support_r_max, converge_terms
 from .reports import IdentityResidualReport, MarginReport, ordered_sum
 from .verify import _coefficients, _integrals
 
@@ -123,7 +123,7 @@ def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
         span = grid.span(d.support)
         r = grid.nodes[span]
         v = to_v_transform(_profile_jets(d, grid, 2)[0], N, r)
-        weights = {name: weight_values(name, r) for name in _WEIGHTS}
+        weights = {name: _span_weight(grid, d.support, name) for name in _WEIGHTS}
         t = SimpleNamespace(v=v.value(), dv=v.derivative(1), ddv=v.derivative(2), coth=coth(r), **weights)
         return {key: grid.integrate(integrand(t), span) for key, integrand in _RAW.items()}
 

@@ -16,6 +16,19 @@ it only on the contiguous run of nodes strictly inside its support
 full-length array before the dot product: the sum then runs over every
 weight in the same order as a full-grid evaluation and is equal to it bit for
 bit, where a dot product over the run alone can differ in the last bits.
+
+The weights and the measure on such a run do not depend on ``g``, so every
+radial grid integral (the verifier, the 1-D lemmas and the identities) reads
+them from two private caches, built once per span: ``_span_weight`` keyed on
+(grid, support, name), which serves every N, and ``_span_measure`` keyed on
+(grid, support, N).  A grid hashes by identity and a support is a tuple, so
+the key is hashable where the slice is not.  The cached arrays are the very
+arrays ``weight_values`` and ``measure_values`` return, made read-only, and
+callers keep the product order ``(g * w) * mu``: every float is the one an
+uncached evaluation gives.  Both caches are bounded: at most 34 arrays, each
+no longer than its grid, so under 9 MB on the finest default grid.  The
+refusal of an overflowing measure is an exception, which ``lru_cache`` never
+stores, so it repeats on every call.
 """
 
 from __future__ import annotations
@@ -175,6 +188,29 @@ def measure_values(r: np.ndarray, N: int) -> np.ndarray:
             "use a smaller support or dimension"
         )
     return np.sinh(r) ** (N - 1)
+
+
+# entries of the per-span caches: weights serve every N, so one function's
+# doubling loop needs about 7 names x 5 grids; measures serve the one N its
+# margins run at
+_SPAN_WEIGHTS = 24
+_SPAN_MEASURES = 10
+
+
+@functools.lru_cache(maxsize=_SPAN_WEIGHTS)
+def _span_weight(grid: Grid, support: tuple[float, float], name: str) -> np.ndarray:
+    """``weight_values(name)`` on ``grid.nodes[grid.span(support)]``, read-only."""
+    w = weight_values(name, grid.nodes[grid.span(support)])
+    w.flags.writeable = False
+    return w
+
+
+@functools.lru_cache(maxsize=_SPAN_MEASURES)
+def _span_measure(grid: Grid, support: tuple[float, float], N: int) -> np.ndarray:
+    """``measure_values(N)`` on ``grid.nodes[grid.span(support)]``, read-only."""
+    mu = measure_values(grid.nodes[grid.span(support)], N)
+    mu.flags.writeable = False
+    return mu
 
 
 def _doubling(fn, spec, build):

@@ -27,7 +27,7 @@ from .constants import (
 from .errors import HypothesisError
 from .profiles import Bump, Cutoff, RadialProfile
 from .operators import gradk_sq_values, radial_table
-from .quadrature import QuadratureSpec, _support_r_max, converge_terms, log_sinh, measure_values, weight_values
+from .quadrature import QuadratureSpec, _span_measure, _span_weight, _support_r_max, converge_terms, log_sinh
 from .reports import MarginReport
 
 __all__ = [
@@ -50,14 +50,17 @@ def _integrals(u, N, spec, integrands):
 
     def fn(grid):
         table = radial_table(u, N, grid, levels)
-        r = grid.nodes[table.span]
-        mu = measure_values(r, N)
+        # the measure first, so its overflow refusal comes before any weight; at N = 1 it is
+        # sinh^0 r = 1, and x * 1.0 == x, so it is left out
+        mu = None if N == 1 else _span_measure(grid, u.support, N)
         out = {}
         for key, (k, weight) in integrands.items():
             values = gradk_sq_values(table, k)
             if weight != "one":  # no ones array: it would raise peak memory for nothing
-                values = values * weight_values(weight, r)
-            out[key] = grid.integrate(values * mu, table.span)
+                values = values * _span_weight(grid, u.support, weight)
+            if mu is not None:
+                values = values * mu
+            out[key] = grid.integrate(values, table.span)
         return out
 
     return converge_terms(fn, spec, _support_r_max(u))

@@ -1,0 +1,93 @@
+"""The per-span weight and measure caches: same floats as the formulas, safe to share."""
+
+import pytest
+
+from poincare_hardy import Bump, QuadratureError, QuadratureSpec, load_suite, margin_thm21
+from poincare_hardy import identities, operators, quadrature, verify
+from poincare_hardy.operators import gradk_sq_values, radial_table
+from poincare_hardy.quadrature import _span_measure, _span_weight, build_grid, measure_values, weight_values
+
+# every weight the verifier and the lemmas integrate against, at jet orders 0..2
+_INTEGRANDS = {
+    "lap2": (2, "one"),
+    "grad": (1, "one"),
+    "u2": (0, "one"),
+    "r2": (0, "inv_r2"),
+    "r4": (0, "inv_r4"),
+    "sinh2": (0, "inv_sinh2"),
+    "sinh4": (0, "inv_sinh4"),
+    "grad_sinh2": (1, "inv_sinh2"),
+}
+
+
+def _clear_caches():
+    for cached in (
+        quadrature._span_weight,
+        quadrature._span_measure,
+        quadrature._cached_grid,
+        operators._profile_jets,
+        operators.radial_table,
+        identities._mode_raw_integrals,
+    ):
+        cached.cache_clear()
+
+
+@pytest.mark.parametrize("suite", ["origin", "standard"])
+@pytest.mark.parametrize("N", [1, 5, 9])
+def test_cached_terms_equal_the_formulas_bit_for_bit(monkeypatch, suite, N):
+    u = load_suite(suite)[0]
+    spec = QuadratureSpec()
+    seen = []
+    converge = verify.converge_terms
+    monkeypatch.setattr(verify, "converge_terms", lambda fn, *args: seen.append(fn) or converge(fn, *args))
+    verify._integrals(u, N, spec, _INTEGRANDS)
+    (fn,) = seen
+    for refine in range(spec.max_doublings + 1):
+        grid = build_grid(spec, quadrature._support_r_max(u), refine)
+        table = radial_table(u, N, grid, 1)
+        r = grid.nodes[table.span]
+        expected = {
+            key: grid.integrate(gradk_sq_values(table, k) * weight_values(weight, r) * measure_values(r, N), table.span)
+            for key, (k, weight) in _INTEGRANDS.items()
+        }
+        assert fn(grid) == expected
+
+
+def test_lemmas_at_n1_read_no_measure(monkeypatch):
+    # sinh^0 r = 1 changes no product, so N = 1 skips the measure and its sinh pass
+    def refuse(r, N):
+        raise AssertionError("measure_values called at N = 1")
+
+    monkeypatch.setattr(quadrature, "measure_values", refuse)
+    _clear_caches()
+    vals, _ = verify._integrals(Bump(2.0, 1.0, 1), 1, QuadratureSpec(), _INTEGRANDS)
+    assert vals["grad"] > 0.0
+
+
+def test_cached_arrays_are_read_only_and_bounded():
+    grid = build_grid(QuadratureSpec(), 4.0)
+    support = (1.0, 3.0)
+    for arr in (_span_weight(grid, support, "inv_r2"), _span_measure(grid, support, 5)):
+        assert arr.size and not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    for cached in (_span_weight, _span_measure):
+        assert 0 < cached.cache_info().maxsize < 1000
+
+
+def test_margins_do_not_depend_on_cache_order():
+    u = load_suite("origin")[0]
+    _clear_caches()
+    first = {N: margin_thm21(u, N).to_dict() for N in (5, 7)}
+    _clear_caches()
+    second = {N: margin_thm21(u, N).to_dict() for N in (7, 5)}
+    assert first == second
+
+
+def test_measure_overflow_is_refused_on_every_call():
+    _clear_caches()
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="overflows"):
+            margin_thm21(Bump(700.0, 10.0), 5)
+    # the measure is looked up before any weight, so no weight was built
+    assert _span_weight.cache_info().currsize == 0
