@@ -132,6 +132,15 @@ def converge_plane_terms(fn, spec: PlaneQuadratureSpec, box):
     return _doubling(fn, spec, lambda refine: build_plane_grid(spec, box, refine))
 
 
+def _require_plane(N: int) -> None:
+    """Refuse N < 2: the reduction to (rho, y) = (|x|, y) needs x in R^{N-1}.
+
+    Below that rho^{N-2} drho is not even integrable at rho = 0.
+    """
+    if N < 2:
+        raise HypothesisError(f"requires N >= 2, got N={N}")
+
+
 class _PlaneTable:
     """The 1-D jets of phi on the rho nodes and of psi on the y nodes, shared by all integrands."""
 
@@ -213,6 +222,7 @@ def margin_hardy_mazya(
     v: SeparableTestFunction, N: int, spec: PlaneQuadratureSpec | None = None, tol: float = 1e-7
 ) -> MarginReport:
     """int |grad v|^2 dx dy >= (1/4) int v^2/y^2 dx dy on the half-space."""
+    _require_plane(N)
     table = {"grad": (lambda t: _grad_sq(t, 1.0), 1), "y2": (lambda t: [(t.p**2, t.q**2 / t.y**2)], -F(1, 4))}
     return _plane_margin("hardy_mazya", v, N, table, spec, tol)
 
@@ -229,6 +239,7 @@ def check_pf1(
     + alpha (N - 1 - alpha) int y^{2 alpha - N} v^2 dx dy.
     The left side is evaluated by differentiating y^alpha v directly.
     """
+    _require_plane(N)
 
     def energy_u(t):
         # u_rho = phi' (y^alpha psi) and u_y = phi (alpha y^{alpha-1} psi + y^alpha psi')
@@ -262,6 +273,7 @@ def check_pf2(v: SeparableTestFunction, alpha: float, N: int, tol: float = 1e-8)
     only with it, and the pointwise residual confirms the exponent.  The
     residual of the variant with middle power alpha is reported in details.
     """
+    _require_plane(N)
     rho_hi, y_lo, y_hi = v.box
     y = _chebyshev(y_lo, y_hi, _PF2_COUNTS[1])
     t = _PlaneTable(v, N, _chebyshev(0.0, rho_hi, _PF2_COUNTS[0]), y)

@@ -21,6 +21,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from .constants import CaseSpec, lambda_n, poincare_constant, thm21_constants
+from .errors import HypothesisError
 from .jets import coth, coth_jet
 from .profiles import RadialProfile
 from .operators import _profile_jets, laplace_of_jet, to_v_transform
@@ -46,6 +47,12 @@ def identity_sample_points(u: RadialProfile, count: int = 50) -> np.ndarray:
     return _chebyshev(*u.support, count)
 
 
+def _require_dimension(N: int) -> None:
+    """Refuse a dimension below 1: there is no H^N to substitute in."""
+    if N < 1:
+        raise HypothesisError(f"requires N >= 1, got N={N}")
+
+
 # a huge N overflows the sinh powers to inf or nan; from_sides turns that into a numerical failure
 @np.errstate(over="ignore", invalid="ignore")
 def check_ph1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualReport:
@@ -55,6 +62,7 @@ def check_ph1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidualR
     - (N-1) coth(r) v v', checked on a Chebyshev grid.  Both sides come from one
     jet of u: the identity is algebraic in (u, u'), so it tests the substitution.
     """
+    _require_dimension(N)
     r = identity_sample_points(u)
     ujet = u.jet(r, 1)
     lhs = ujet.derivative(1) ** 2
@@ -71,6 +79,7 @@ def check_trans1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidu
 
     Lap u = sinh^{-(N-1)/2}(r) [v'' - (((N-1)(N-3)/4) coth^2(r) + (N-1)/2) v].
     """
+    _require_dimension(N)
     r = identity_sample_points(u)
     ujet = u.jet(r, 2)
     lhs = laplace_of_jet(ujet, coth_jet(r, 2), N).value()
@@ -179,6 +188,7 @@ def _estimate2_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
 
 
 def _check_estimate(sides, which, d, n, N, spec, tol) -> IdentityResidualReport:
+    _require_dimension(N)
     vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec())
     lhs, rhs = sides(vals, n, N)
     return IdentityResidualReport.from_sides(which, d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})

@@ -4,6 +4,12 @@ Every profile knows its support and can evaluate a truncated Taylor jet of
 itself at an array of points, which is what the differential operators
 consume.  Outside the support all jet coefficients are exactly zero, so
 integrands built from these profiles vanish identically there.
+
+No profile's coefficient j depends on the order the jet was asked for: each
+comes from the lower ones alone.  The verifier's memo of integrals relies on
+it.  A Bump's core exp(-1/(1 - t^2)) solves a linear ODE, so its jet comes
+from a short linear recurrence (``_bump_core``) rather than from composing
+the series of t^2, a reciprocal and exp.
 """
 
 from __future__ import annotations
@@ -103,14 +109,39 @@ class Bump(RadialProfile):
 
     def jet(self, r: np.ndarray, order: int) -> Jet:
         r = np.asarray(r, dtype=float)
-        rj = variable(r, order)
-        t = (rj - self.center) * (1.0 / self.width)
-        inside = np.abs(t.value()) < 1.0 - _EDGE
-        ts = t.with_value(np.where(inside, t.value(), 0.0))
-        core = (-(-(ts * ts) + 1.0).reciprocal()).exp()
+        inv_w = 1.0 / self.width
+        t = (r - self.center) * inv_w
+        inside = np.abs(t) < 1.0 - _EDGE
+        core = _bump_core(np.where(inside, t, 0.0), inv_w, order)
         if self.power:
+            rj = variable(r, order)
             core = core * functools.reduce(operator.mul, [rj] * self.power)
         return core.where(inside)
+
+
+def _bump_core(t: np.ndarray, inv_w: float, order: int) -> Jet:
+    """Jet in r of f = exp(-1/A), A = 1 - t^2, at the points t = (r - center) * inv_w, all |t| < 1.
+
+    f solves the linear ODE A^2 f' = A' f, so its Taylor coefficients follow a
+    linear recurrence.  In h = r - r0, A = a0 + a1 h + a2 h^2, A' = a1 + 2 a2 h
+    and A^2 = p0 + ... + p4 h^4; matching h^k on both sides gives
+    (k+1) p0 f_{k+1} = a1 f_k + 2 a2 f_{k-1} - sum_{j=1..min(4,k)} (k+1-j) p_j f_{k+1-j}.
+    Each coefficient costs O(1) array passes, and none depends on ``order``.
+    """
+    a0 = 1.0 - t * t
+    a1 = -2.0 * inv_w * t
+    a2 = -inv_w * inv_w
+    p = (a0 * a0, 2.0 * a0 * a1, a1 * a1 + 2.0 * a0 * a2, 2.0 * a1 * a2, a2 * a2)
+    f = np.empty((order + 1,) + t.shape)
+    f[0] = np.exp(-1.0 / a0)
+    for k in range(order):
+        acc = a1 * f[k]
+        if k:
+            acc += 2.0 * a2 * f[k - 1]
+        for j in range(1, min(4, k) + 1):
+            acc -= (k + 1 - j) * p[j] * f[k + 1 - j]
+        f[k + 1] = acc / ((k + 1) * p[0])
+    return Jet(f)
 
 
 @dataclass(frozen=True)

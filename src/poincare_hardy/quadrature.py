@@ -29,6 +29,12 @@ uncached evaluation gives.  Both caches are bounded: at most 34 arrays, each
 no longer than its grid, so under 9 MB on the finest default grid.  The
 refusal of an overflowing measure is an exception, which ``lru_cache`` never
 stores, so it repeats on every call.
+
+Each ``Grid`` also carries the verifier's memo of finished integrals
+(``_terms``, keyed by (u, N, k, weight); see ``verify``).  It lives on the
+grid rather than in a module-level table keyed by the grid, so it keeps no
+grid alive: when ``_cached_grid`` (64 entries) drops a grid, its memo goes
+with it.
 """
 
 from __future__ import annotations
@@ -76,13 +82,18 @@ class QuadratureSpec:
 
 
 class Grid:
-    """Nodes and weights of a composite Gauss-Legendre rule on (0, r_max]."""
+    """Nodes and weights of a composite Gauss-Legendre rule on (0, r_max].
 
-    __slots__ = ("nodes", "weights")
+    ``_terms`` is the verifier's memo of the integrals already taken on this
+    grid (see ``verify._integrals``).
+    """
+
+    __slots__ = ("nodes", "weights", "_terms")
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray):
         self.nodes = nodes
         self.weights = weights
+        self._terms = {}
 
     def span(self, support: tuple[float, float] | None) -> slice:
         """The nodes strictly inside ``support``, as a slice; every node when it is None.

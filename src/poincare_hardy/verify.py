@@ -11,6 +11,18 @@ report can therefore fail either because the inequality is violated or
 because the integrals cannot be trusted at the requested tolerance.  A new
 inequality is one more table.  The 1-D lemmas (``verify --case hardy1d``) are
 three tables at N = 1, where the measure is dr and the Laplacian d^2/dr^2.
+
+Tables of one function share most of their terms: ``rellich``, ``general``
+(2, 0) and ``thm21`` all integrate (Lap u)^2, u^2/r^2 and u^2/r^4.  So each
+grid memoises the integrals taken on it (``Grid._terms``), keyed by
+(u, N, k, weight), and an evaluation integrates only the terms that miss;
+when none misses it builds no Laplacian tower at all.  The key holds no jet
+order and no tower depth: coefficient j of a jet is the same float whatever
+the jet's order, so a level's value and slope, and every integral read from
+them, are the same whatever depth the table was built with.  A term is
+stored only once every term of its evaluation is in, so a refused measure
+leaves nothing behind.  The memo lives on the grid, so it is bounded by the
+grid cache and dies with the grid.
 """
 
 from __future__ import annotations
@@ -47,21 +59,27 @@ def _inv_r(power: int) -> str:
 def _integrals(u, N, spec, integrands):
     """Converged ``{term: int |grad^k u|^2 * weight dV}`` for ``integrands = {term: (k, weight)}``."""
     levels = max(k for k, _ in integrands.values()) // 2
+    terms = {key: (u, N, k, weight) for key, (k, weight) in integrands.items()}
 
     def fn(grid):
-        table = radial_table(u, N, grid, levels)
-        # the measure first, so its overflow refusal comes before any weight; at N = 1 it is
-        # sinh^0 r = 1, and x * 1.0 == x, so it is left out
-        mu = None if N == 1 else _span_measure(grid, u.support, N)
-        out = {}
-        for key, (k, weight) in integrands.items():
-            values = gradk_sq_values(table, k)
-            if weight != "one":  # no ones array: it would raise peak memory for nothing
-                values = values * _span_weight(grid, u.support, weight)
-            if mu is not None:
-                values = values * mu
-            out[key] = grid.integrate(values, table.span)
-        return out
+        memo = grid._terms
+        missing = dict.fromkeys(term for term in terms.values() if term not in memo)
+        if missing:
+            table = radial_table(u, N, grid, levels)
+            # the measure first, so its overflow refusal comes before any weight; at N = 1 it is
+            # sinh^0 r = 1, and x * 1.0 == x, so it is left out
+            mu = None if N == 1 else _span_measure(grid, u.support, N)
+            new = {}
+            for term in missing:
+                _, _, k, weight = term
+                values = gradk_sq_values(table, k)
+                if weight != "one":  # no ones array: it would raise peak memory for nothing
+                    values = values * _span_weight(grid, u.support, weight)
+                if mu is not None:
+                    values = values * mu
+                new[term] = grid.integrate(values, table.span)
+            memo.update(new)  # only once every term is in: a refusal stores nothing
+        return {key: memo[term] for key, term in terms.items()}
 
     return converge_terms(fn, spec, _support_r_max(u))
 

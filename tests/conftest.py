@@ -1,0 +1,30 @@
+"""Every test starts with every process-level cache empty.
+
+The caches only skip work, but a test that counts tower builds, profile jets
+or doubling loops would otherwise depend on which tests ran before it.
+"""
+
+import pytest
+
+from poincare_hardy import identities, operators, quadrature
+
+_CACHES = (
+    quadrature._cached_grid,  # each grid owns its memo of verifier terms, so this clears those too
+    quadrature._span_weight,
+    quadrature._span_measure,
+    operators._profile_jets,
+    operators.radial_table,
+    identities._mode_raw_integrals,
+)
+
+
+def _clear_caches():
+    for cached in _CACHES:
+        cached.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def clear_caches():
+    """Empty every cache before the test; the test may call the returned function to empty them again."""
+    _clear_caches()
+    return _clear_caches

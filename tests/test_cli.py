@@ -310,6 +310,34 @@ def test_identity_subcommand(capsys):
     assert "PASS: 20/20 checks passed" in out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity", "--which", "ph1", "--N", "-3"],
+        ["identity", "--which", "trans1", "--N", "0"],
+        ["identity", "--which", "estimate1", "--N", "0"],
+        ["identity", "--which", "estimate2", "--N", "-1"],
+        ["halfspace", "--which", "pf1", "--N", "-2"],
+        ["halfspace", "--which", "pf1", "--N", "1"],
+        ["halfspace", "--which", "pf2", "--N", "1"],
+        ["halfspace", "--which", "hardy_mazya", "--N", "1"],
+        ["halfspace", "--which", "hardy_mazya", "--N", "0"],
+    ],
+)
+def test_dimension_without_a_space_exits_64(argv, capsys):
+    # these used to print PASS (or FAIL 3/6 for hardy_mazya) for a space that does not exist
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (64, "")
+    assert err.startswith("error: requires N >= ")
+
+
+def test_identity_at_n1_still_runs(capsys):
+    for which in ("ph1", "trans1"):
+        code, out, _ = run(["identity", "--which", which, "--N", "1"], capsys)
+        assert code == 0
+        assert "PASS: 20/20 checks passed" in out
+
+
 def test_identity_estimate_with_mode(capsys):
     code, out, _ = run(
         ["identity", "--which", "estimate2", "--N", "7", "--n", "2", "--suite", "origin"], capsys

@@ -222,6 +222,20 @@ def test_pf1_pf2_residuals(N):
             assert r2.max_rel_residual < 1e-8, (v.id, alpha)
 
 
+@pytest.mark.parametrize("N", [1, 0, -2])
+def test_plane_reductions_refuse_dimensions_below_two(N):
+    # (rho, y) = (|x|, y) needs x in R^{N-1}; below N = 2, rho^{N-2} drho is not integrable at 0
+    v = halfspace_suite("standard")[0]
+    for check in (lambda: margin_hardy_mazya(v, N), lambda: check_pf1(v, 0.5, N), lambda: check_pf2(v, 0.5, N)):
+        with pytest.raises(HypothesisError, match=r"requires N >= 2"):
+            check()
+
+
+def test_hardy_mazya_holds_at_n2():
+    for v in halfspace_suite("standard"):
+        assert margin_hardy_mazya(v, 2).verdict
+
+
 def test_pf2_middle_power_regression():
     # with the conformal weight alpha = (N-2)/2 the middle term vanishes and the
     # two readings coincide; one step down they differ by O(1), pinning the

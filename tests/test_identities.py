@@ -12,6 +12,7 @@ import pytest
 
 from poincare_hardy import (
     Bump,
+    HypothesisError,
     QuadratureSpec,
     Scaled,
     SeparableTestFunction,
@@ -29,7 +30,7 @@ from poincare_hardy.identities import (
     identity_sample_points,
     mode_margin_decomposition,
 )
-from poincare_hardy.operators import _profile_jets, to_v_transform
+from poincare_hardy.operators import to_v_transform
 from poincare_hardy.quadrature import build_grid
 
 
@@ -63,6 +64,25 @@ def test_trans1_pointwise(N):
         assert report.max_rel_residual < 1e-12
 
 
+@pytest.mark.parametrize(
+    "check",
+    [check_ph1, check_trans1, lambda u, N: check_estimate1(u, 0, N), lambda u, N: check_estimate2(u, 0, N)],
+    ids=["ph1", "trans1", "estimate1", "estimate2"],
+)
+def test_identities_refuse_dimensions_below_one(check):
+    u = load_suite("standard")[0]
+    for N in (0, -3):
+        with pytest.raises(HypothesisError, match=r"requires N >= 1"):
+            check(u, N)
+
+
+def test_pointwise_identities_hold_at_n1():
+    # H^1 is the half-line under dr: v = u, and both identities reduce to u'^2 and u''
+    for u in load_suite("standard")[:4]:
+        assert check_ph1(u, 1).verdict
+        assert check_trans1(u, 1).verdict
+
+
 @pytest.mark.parametrize("n", [0, 1, 2])
 def test_estimate_identities(n):
     u = Bump(2.0, 1.0, 0)
@@ -79,7 +99,6 @@ def test_mode_integrals_converge_once_for_both_estimates_and_modes(monkeypatch):
     calls = []
     converge = identities.converge_terms
     monkeypatch.setattr(identities, "converge_terms", lambda *args: calls.append(args) or converge(*args))
-    identities._mode_raw_integrals.cache_clear()
     u = Bump(2.0, 1.0, 1)
     for n in (0, 2):
         assert check_estimate1(u, n, 7).verdict
@@ -92,8 +111,6 @@ def test_estimates_of_every_dimension_read_one_profile_jet_per_grid(monkeypatch)
     sizes = []
     jet = Bump.jet
     monkeypatch.setattr(Bump, "jet", lambda self, r, order: sizes.append(np.size(r)) or jet(self, r, order))
-    identities._mode_raw_integrals.cache_clear()
-    _profile_jets.cache_clear()
     u = Bump(2.0, 1.0, 1)
     for N in (5, 7, 9):
         assert check_estimate1(u, 0, N).verdict

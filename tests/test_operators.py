@@ -111,6 +111,17 @@ def test_radial_table_levels_requested():
     np.testing.assert_allclose(RadialTable(u, 5, grid, 3).values(2), table.values(2), rtol=1e-11)
 
 
+@pytest.mark.parametrize("u", [load_suite("origin")[0], load_suite("standard")[0]], ids=lambda u: u.id)
+def test_table_levels_do_not_depend_on_the_table_depth(u):
+    # the verifier memoises integrals without the depth of the table they were read from
+    grid = build_grid(QuadratureSpec(), u.support[1] + 1.0, 1)
+    for N in (1, 5, 9):
+        shallow, deep = RadialTable(u, N, grid, 1), RadialTable(u, N, grid, 2)
+        for level in range(2):
+            assert np.array_equal(shallow.values(level), deep.values(level))
+            assert np.array_equal(shallow.deriv(level), deep.deriv(level))
+
+
 # every profile kind; Bump powers 0-3, and one Bump whose support reaches r = 0
 _SUPPORTED = [
     *(Bump(2.0, 1.0, p) for p in range(4)),

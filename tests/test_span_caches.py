@@ -1,9 +1,21 @@
-"""The per-span weight and measure caches: same floats as the formulas, safe to share."""
+"""The per-span weight and measure caches and the per-grid term memo: same floats as the formulas, safe to share."""
+
+import gc
 
 import pytest
 
-from poincare_hardy import Bump, QuadratureError, QuadratureSpec, load_suite, margin_thm21
-from poincare_hardy import identities, operators, quadrature, verify
+from poincare_hardy import (
+    Bump,
+    CaseSpec,
+    QuadratureError,
+    QuadratureSpec,
+    load_suite,
+    margin_general,
+    margin_poincare_hardy,
+    margin_rellich,
+    margin_thm21,
+)
+from poincare_hardy import quadrature, verify
 from poincare_hardy.operators import gradk_sq_values, radial_table
 from poincare_hardy.quadrature import _span_measure, _span_weight, build_grid, measure_values, weight_values
 
@@ -18,18 +30,6 @@ _INTEGRANDS = {
     "sinh4": (0, "inv_sinh4"),
     "grad_sinh2": (1, "inv_sinh2"),
 }
-
-
-def _clear_caches():
-    for cached in (
-        quadrature._span_weight,
-        quadrature._span_measure,
-        quadrature._cached_grid,
-        operators._profile_jets,
-        operators.radial_table,
-        identities._mode_raw_integrals,
-    ):
-        cached.cache_clear()
 
 
 @pytest.mark.parametrize("suite", ["origin", "standard"])
@@ -59,7 +59,6 @@ def test_lemmas_at_n1_read_no_measure(monkeypatch):
         raise AssertionError("measure_values called at N = 1")
 
     monkeypatch.setattr(quadrature, "measure_values", refuse)
-    _clear_caches()
     vals, _ = verify._integrals(Bump(2.0, 1.0, 1), 1, QuadratureSpec(), _INTEGRANDS)
     assert vals["grad"] > 0.0
 
@@ -75,19 +74,67 @@ def test_cached_arrays_are_read_only_and_bounded():
         assert 0 < cached.cache_info().maxsize < 1000
 
 
-def test_margins_do_not_depend_on_cache_order():
+def test_margins_do_not_depend_on_cache_order(clear_caches):
     u = load_suite("origin")[0]
-    _clear_caches()
     first = {N: margin_thm21(u, N).to_dict() for N in (5, 7)}
-    _clear_caches()
+    clear_caches()
     second = {N: margin_thm21(u, N).to_dict() for N in (7, 5)}
     assert first == second
 
 
 def test_measure_overflow_is_refused_on_every_call():
-    _clear_caches()
+    u = Bump(700.0, 10.0)
     for _ in range(2):
         with pytest.raises(QuadratureError, match="overflows"):
-            margin_thm21(Bump(700.0, 10.0), 5)
-    # the measure is looked up before any weight, so no weight was built
+            margin_thm21(u, 5)
+    # the measure is looked up before any weight, so no weight was built, and the refusal stored no term
     assert _span_weight.cache_info().currsize == 0
+    grid = build_grid(QuadratureSpec(), quadrature._support_r_max(u))
+    assert quadrature._cached_grid.cache_info().currsize == 1
+    assert grid._terms == {}
+
+
+# four families whose tables share terms: rellich and general (2, 0) are one table under two names
+_FAMILIES = {
+    "thm21": margin_thm21,
+    "rellich": margin_rellich,
+    "poincare": margin_poincare_hardy,
+    "general20": lambda u, N: margin_general(CaseSpec(2, 0, N), u),
+}
+
+
+@pytest.mark.parametrize("suite", ["origin", "standard"])
+@pytest.mark.parametrize("N", [5, 9])
+def test_memoised_margins_equal_cold_ones_bit_for_bit(clear_caches, suite, N):
+    u = load_suite(suite)[0]
+    cold = {}
+    for name, margin in _FAMILIES.items():
+        clear_caches()
+        cold[name] = margin(u, N).to_dict()
+    for order in (list(_FAMILIES), list(reversed(_FAMILIES))):
+        clear_caches()
+        assert {name: _FAMILIES[name](u, N).to_dict() for name in order} == cold
+
+
+def test_a_table_of_memoised_terms_asks_for_no_tower(monkeypatch):
+    u = load_suite("origin")[0]
+    margin_rellich(u, 7)
+    asked = []
+    table = verify.radial_table
+    monkeypatch.setattr(verify, "radial_table", lambda *args: asked.append(args) or table(*args))
+    assert margin_general(CaseSpec(2, 0, 7), u).verdict
+    assert asked == []
+
+
+def test_the_memo_keeps_no_grid_alive(clear_caches):
+    u = Bump(2.345, 1.0, 1)  # integrated by no other test, so only this test's grids hold its terms
+
+    def grids_holding_u():
+        return sum(isinstance(obj, quadrature.Grid) and any(key[0] == u for key in obj._terms) for obj in gc.get_objects())
+
+    for N in (5, 9):
+        margin_thm21(u, N)
+    assert grids_holding_u() > 0
+    clear_caches()
+    gc.collect()
+    assert grids_holding_u() == 0

@@ -1,11 +1,16 @@
 """Test profiles: supports, closed-form values, jets at edges, suite loading."""
 
+import functools
+import operator
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from poincare_hardy import Bump, Cutoff, ExpDecay, Product, Scaled, SmoothWindow
+from poincare_hardy.jets import coth_jet, variable
 from poincare_hardy.profiles import (
     halfspace_suite_names,
     load_halfspace_suite,
@@ -44,6 +49,68 @@ def test_bump_jet_smooth_up_to_edge():
     jet = u.jet(r, 3)
     assert np.all(np.isfinite(jet.coef))
     assert np.all(np.abs(np.diff(u(r))) > 0)
+
+
+# one member of every profile kind, Bumps with and without their r^p factor
+_KINDS = [
+    Bump(2.0, 1.0, 0),
+    Bump(0.8, 0.8, 2),
+    SmoothWindow(1.0, 3.0, 0.5),
+    Cutoff(1.0, 2.5),
+    ExpDecay(1.5),
+    Scaled(Bump(1.5, 0.7, 2), -3.0),
+    Product((Bump(2.0, 1.0, 1), Cutoff(2.0, 2.5))),
+]
+
+
+@pytest.mark.parametrize("jet", [u.jet for u in _KINDS] + [coth_jet], ids=[u.id for u in _KINDS] + ["coth"])
+def test_jet_coefficients_do_not_depend_on_the_order(jet):
+    # the verifier memoises integrals without the jet order they were taken at:
+    # coefficient j must be the same float in a jet of any order >= j
+    r = np.linspace(0.01, 3.6, 73)
+    top = jet(r, 10).coef
+    for m in range(10):
+        assert np.array_equal(jet(r, m).coef, top[: m + 1])
+
+
+def _series_bump(u: Bump, r: np.ndarray, order: int):
+    """The jet of a Bump composed from series, t*t, reciprocal and exp: the route its ODE recurrence replaced."""
+    rj = variable(r, order)
+    t = (rj - u.center) * (1.0 / u.width)
+    core = (-(-(t * t) + 1.0).reciprocal()).exp()
+    if u.power:
+        core = core * functools.reduce(operator.mul, [rj] * u.power)
+    return core
+
+
+@pytest.mark.parametrize("power", range(4))
+@pytest.mark.parametrize("center, width", [(2.0, 1.0), (0.8, 0.8)])
+def test_bump_recurrence_agrees_with_the_series_route(center, width, power):
+    u = Bump(center, width, power)
+    lo, hi = u.support
+    r = np.linspace(lo + 1e-3 * (hi - lo), hi - 1e-3 * (hi - lo), 241)
+    got, want = u.jet(r, 10).coef, _series_bump(u, r, 10).coef
+    for k in range(11):
+        assert np.max(np.abs(got[k] - want[k])) <= 1.5e-14 * np.max(np.abs(want[k])), k
+
+
+@pytest.mark.parametrize("u", [Bump(2.0, 1.0, 0), Bump(0.8, 0.8, 2), Bump(1.5, 0.7, 3)], ids=lambda u: u.id)
+def test_bump_derivatives_match_40_digit_differentiation(u):
+    lo, hi = u.support
+    points = [lo + f * (hi - lo) for f in (0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95)]
+    order = 6
+    got = u.jet(np.array(points), order)
+    with mpmath.workdps(40):
+        c, w = mpmath.mpf(u.center), mpmath.mpf(u.width)
+
+        def f(r):
+            t = (r - c) / w
+            return r**u.power * mpmath.exp(-1 / (1 - t * t))
+
+        want = np.array([[float(d) for d in mpmath.diffs(f, mpmath.mpf(x), order)] for x in points]).T
+    for k in range(order + 1):
+        scale = np.max(np.abs(want[k]))
+        assert np.max(np.abs(got.derivative(k) - want[k])) <= 1e-11 * scale, k
 
 
 def test_window_flat_top_exact():
