@@ -197,6 +197,7 @@ def thm21_constants(N: int) -> dict[str, Fraction]:
     return {"c_r2": c_r2, "c_r4": c_r4, "c_sinh2": b0, "c_sinh4": a0}
 
 
+@functools.lru_cache(maxsize=None)
 def chain_replay(case: CaseSpec) -> tuple[Fraction, ...]:
     """The k remainder constants alpha^1..alpha^k, alpha^i on u^2/r^{2i}.
 
@@ -207,6 +208,7 @@ def chain_replay(case: CaseSpec) -> tuple[Fraction, ...]:
     (2, 1) chain ((N-1)^2/16, 9/16) at i = 1, 2. yang_extended(g, 2i, N)
     expands each remainder into u^2/r^{2(i+p)}, and the cascade weights the
     step by ((N-1)/2)^{2(k-j)}.  Exact rational arithmetic throughout.
+    Cached on the frozen case; a refusal is not stored, so it repeats.
     """
     k, l, N = case.k, case.l, case.N
     chain = [F(0)] * k

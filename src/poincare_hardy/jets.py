@@ -13,7 +13,10 @@ the Taylor order, so each order is one contiguous grid-shaped slice; no other
 module reads that layout.  Products are convolutions over it, and reciprocal,
 exp and power share one series recurrence.  Every convolution sum starts from
 0 and adds its terms in ascending index order, one slice at a time, so the
-result does not depend on how numpy would group a reduction.
+result does not depend on how numpy would group a reduction.  Two jets skip
+the general product: x*f for the identity x is a shift and an add
+(``Jet.times_variable``), and coth comes from the recurrence of its Riccati
+equation y' = 1 - y^2 (``coth_jet``), whose sums never cancel.
 """
 
 from __future__ import annotations
@@ -160,6 +163,16 @@ class Jet:
             out[k] = finish(acc, k)
         return Jet(out)
 
+    def times_variable(self, x: np.ndarray) -> "Jet":
+        """Jet of x*f, x the identity at this jet's points: coefficient k is x f_k + f_{k-1}.
+
+        The product with ``variable(x, order)`` in O(order) array passes; its
+        two nonzero terms make the same sum, so the floats agree.
+        """
+        out = self.coef * np.asarray(x, dtype=float)
+        out[1:] += self.coef[:-1]
+        return Jet(out)
+
     def where(self, mask: np.ndarray) -> "Jet":
         """This jet where ``mask`` holds, the zero jet elsewhere."""
         return Jet(np.where(mask, self.coef, 0.0))
@@ -207,8 +220,35 @@ def cosh_jet(x: np.ndarray, order: int) -> Jet:
 
 
 def coth_jet(x: np.ndarray, order: int) -> Jet:
-    """Jet of coth at the points x; requires x != 0."""
-    return cosh_jet(x, order) / sinh_jet(x, order)
+    """Jet of coth at the points x; requires x != 0.
+
+    coth solves the Riccati equation y' = 1 - y^2, so y_1 = -1/sinh^2(x) and
+    (k+1) y_{k+1} = -sum_{i=0..k} y_i y_{k-i} for k >= 1.  For x > 0 the sign
+    of y_i is (-1)^i, so every term of a sum has the sign (-1)^k and nothing
+    cancels: coefficient 1 keeps full relative precision at large x, where
+    1 - coth^2 would round to 0.  The reciprocal is taken before squaring:
+    sinh^2 overflows past x = 355, while (1/sinh)^2 underflows quietly to 0
+    past x = 373.  Each
+    sum pairs y_i with y_{k-i} once, i < k - i, in ascending i, doubles the
+    pairs (exactly) and adds the middle square last; it accumulates in place
+    in y_{k+1}, through one scratch array.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.empty((order + 1,) + x.shape)
+    y[0] = coth(x)
+    if order >= 1:
+        y[1] = -((1.0 / np.sinh(x)) ** 2)
+    term = np.empty(x.shape)
+    for k in range(1, order):
+        acc = y[k + 1]
+        np.multiply(y[0], y[k], out=acc)
+        for i in range(1, (k + 1) // 2):
+            acc += np.multiply(y[i], y[k - i], out=term)
+        acc *= 2.0
+        if k % 2 == 0:
+            acc += np.multiply(y[k // 2], y[k // 2], out=term)
+        acc /= -(k + 1)
+    return Jet(y)
 
 
 def coth(x: np.ndarray) -> np.ndarray:

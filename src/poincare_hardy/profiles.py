@@ -9,14 +9,15 @@ No profile's coefficient j depends on the order the jet was asked for: each
 comes from the lower ones alone.  The verifier's memo of integrals relies on
 it.  A Bump's core exp(-1/(1 - t^2)) solves a linear ODE, so its jet comes
 from a short linear recurrence (``_bump_core``) rather than from composing
-the series of t^2, a reciprocal and exp.
+the series of t^2, a reciprocal and exp.  Its r^p factor is p shifts
+(``Jet.times_variable``): r f has coefficients r f_k + f_{k-1}, so no full
+jet product is formed.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import operator
 from dataclasses import dataclass
 from importlib import resources
 
@@ -113,9 +114,8 @@ class Bump(RadialProfile):
         t = (r - self.center) * inv_w
         inside = np.abs(t) < 1.0 - _EDGE
         core = _bump_core(np.where(inside, t, 0.0), inv_w, order)
-        if self.power:
-            rj = variable(r, order)
-            core = core * functools.reduce(operator.mul, [rj] * self.power)
+        for _ in range(self.power):
+            core = core.times_variable(r)
         return core.where(inside)
 
 

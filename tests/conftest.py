@@ -6,7 +6,7 @@ or doubling loops would otherwise depend on which tests ran before it.
 
 import pytest
 
-from poincare_hardy import identities, operators, quadrature
+from poincare_hardy import constants, identities, operators, quadrature
 
 _CACHES = (
     quadrature._cached_grid,  # each grid owns its memo of verifier terms, so this clears those too
@@ -15,6 +15,7 @@ _CACHES = (
     operators._profile_jets,
     operators.radial_table,
     identities._mode_raw_integrals,
+    constants.chain_replay,
 )
 
 

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from poincare_hardy import (
     CaseSpec,
     HypothesisError,
+    InternalConsistencyError,
     a_gamma,
     anbn,
     b_gamma_beta,
@@ -29,6 +30,7 @@ from poincare_hardy import (
     yang_constants,
     yang_extended,
 )
+from poincare_hardy import constants
 
 from _oracles import CHAIN_REPLAY
 
@@ -133,6 +135,25 @@ def test_chain_replay_middle_constants_frozen():
     # margin_general weights every chain entry, not only the endpoints
     for (k, l, N), want in CHAIN_REPLAY.items():
         assert chain_replay(CaseSpec(k, l, N)) == tuple(F(c) for c in want)
+
+
+def test_chain_replay_is_memoised_on_the_case():
+    assert chain_replay(CaseSpec(4, 1, 9)) is chain_replay(CaseSpec(4, 1, 9))
+    for N in range(5, 13):
+        for k in range(1, min(6, (N - 1) // 2) + 1):
+            for l in range(k):
+                case = CaseSpec(k, l, N)
+                assert chain_replay(case) == chain_replay.__wrapped__(case), case
+
+
+def test_chain_replay_refusal_is_not_memoised(monkeypatch):
+    case = CaseSpec(3, 1, 7)
+    monkeypatch.setattr(constants, "yang_extended", lambda gamma, beta, N: (F(0),) * (2 * gamma + 1))
+    for _ in range(2):
+        with pytest.raises(InternalConsistencyError, match="invalid chain"):
+            chain_replay(case)
+    monkeypatch.undo()
+    assert chain_replay(case) == chain_replay.__wrapped__(case)
 
 
 @settings(max_examples=60, deadline=None)

@@ -7,7 +7,9 @@ exactly computed quantity instead of compounding difference noise.
 """
 
 import operator
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -99,6 +101,42 @@ def test_coth_series_switch_is_seamless():
     # deep series regime against the Laurent expansion 1/r + r/3 - r^3/45
     r = np.array([1e-6])
     np.testing.assert_allclose(coth(r), 1.0 / r + r / 3.0 - r**3 / 45.0, rtol=1e-15)
+
+
+def _mp_coth_coefficients(x: float, order: int) -> list:
+    """coth's Taylor coefficients at x to 60 digits: the Riccati recurrence of coth_jet, run in mpmath."""
+    with mpmath.workdps(60):
+        x = mpmath.mpf(x)
+        y = [mpmath.coth(x), -1 / mpmath.sinh(x) ** 2]
+        for k in range(1, order):
+            y.append(-mpmath.fsum(y[i] * y[k - i] for i in range(k + 1)) / (k + 1))
+        return y[: order + 1]
+
+
+def test_coth_jet_matches_a_60_digit_recurrence():
+    r = np.concatenate([np.geomspace(1e-7, 40.0, 29), [0.3, 2.5, 17.0]])
+    got = coth_jet(r, 10).coef
+    for n, x in enumerate(r):
+        want = _mp_coth_coefficients(float(x), 10)
+        for k in range(11):
+            assert abs(got[k, n] - float(want[k])) <= 1e-14 * abs(float(want[k])), (x, k)
+
+
+def test_coth_jet_slope_keeps_full_precision_at_large_r():
+    # 1 - coth^2 rounds to 0 or +-2e-16 here; the true slope is -1/sinh^2 r, about -7e-35 at r = 40
+    r = np.array([20.0, 40.0, 300.0])
+    got = coth_jet(r, 3).coef[1]
+    with mpmath.workdps(60):
+        want = np.array([float(-1 / mpmath.sinh(mpmath.mpf(x)) ** 2) for x in r])
+    assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+
+
+def test_coth_jet_past_sinh_squared_overflow_warns_nothing():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        jet = coth_jet(np.array([400.0, 700.0]), 10)
+    assert np.all(np.isfinite(jet.coef))
+    np.testing.assert_array_equal(jet.value(), 1.0)
 
 
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])

@@ -94,6 +94,25 @@ def test_bump_recurrence_agrees_with_the_series_route(center, width, power):
         assert np.max(np.abs(got[k] - want[k])) <= 1.5e-14 * np.max(np.abs(want[k])), k
 
 
+@pytest.mark.parametrize("power", [1, 2, 3])
+@pytest.mark.parametrize("suite", ["origin", "standard"])
+def test_bump_power_shift_agrees_with_the_product_route(suite, power):
+    # r^p f by p shift-and-add passes against p full products with the identity jet
+    base = load_suite(suite)[0]
+    core_profile = Bump(base.center, base.width, 0)
+    u = Bump(base.center, base.width, power)
+    lo, hi = u.support
+    r = np.linspace(0.0, hi + 0.5, 301)
+    outside = (r <= lo) | (r >= hi)
+    assert outside.any() and not outside.all()
+    for order in range(11):
+        got = u.jet(r, order).coef
+        want = (core_profile.jet(r, order) * functools.reduce(operator.mul, [variable(r, order)] * power)).coef
+        for k in range(order + 1):
+            assert np.max(np.abs(got[k] - want[k])) <= 1.5e-14 * np.max(np.abs(want[k])), (order, k)
+        assert np.all(got[:, outside] == 0.0), order
+
+
 @pytest.mark.parametrize("u", [Bump(2.0, 1.0, 0), Bump(0.8, 0.8, 2), Bump(1.5, 0.7, 3)], ids=lambda u: u.id)
 def test_bump_derivatives_match_40_digit_differentiation(u):
     lo, hi = u.support
