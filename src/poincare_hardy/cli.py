@@ -2,7 +2,7 @@
 
 Commands: ``constants`` (exact rational tables), ``verify`` (margin
 certificates over a test suite), ``identity`` (substitution and estimate
-identities), ``sharpness`` (quotient tables approaching a constant), and
+identities), ``sharpness`` (quotient tables above a sharp constant), and
 ``halfspace`` (the upper half-space corollaries).  Output formats: text,
 canonical JSON (sorted keys, no timestamps), and long-form CSV with columns
 (case, N, function_id, term, value).
@@ -119,7 +119,7 @@ def _build_parser() -> _Parser:
     add_quad(i)
     add_common(i)
 
-    s = sub.add_parser("sharpness", help="quotient table approaching a sharp constant")
+    s = sub.add_parser("sharpness", help="quotient table above a sharp constant")
     s.add_argument("--case", choices=("poincare_k1", "thm21_r2"), required=True)
     s.add_argument("--N", type=int, default=5, help="hyperbolic dimension (default 5)")
     s.add_argument("--params", default=None, help="comma-separated decay rates or bump centers")

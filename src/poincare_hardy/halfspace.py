@@ -9,6 +9,14 @@ geodesic distance to the point (0, 1) is a power of y, so by Fubini each such
 integral is a sum of products of one-dimensional Gauss-Legendre integrals,
 one in rho^{N-2} drho and one in dy.  Only the distance-sharpened remainders
 are two-dimensional: they share one field d^-2 on the tensor grid.
+
+The two remainders "d2" and "d4" converge in a doubling loop of their own,
+run before the one-dimensional terms, so a 1-D term that needs a finer grid
+never rebuilds the field.  That loop stops once both change by at most
+``rel_tol * max(|d2|, |d4|)``, a stricter scale than the family's largest
+term.  The field is built and contracted one block of rows at a time and
+never held whole; rows and columns with weight exactly 0 are skipped, and a
+grid over ``_FIELD_POINTS`` points is refused before any block is built.
 """
 
 from __future__ import annotations
@@ -20,7 +28,7 @@ from fractions import Fraction as F
 import numpy as np
 
 from .constants import halfspace_constants
-from .errors import HypothesisError
+from .errors import HypothesisError, QuadratureError
 from .profiles import RadialProfile, load_halfspace_suite
 from .quadrature import QuadratureSpec, _chebyshev, _doubling, _panel_rule
 from .reports import IdentityResidualReport, MarginReport, ordered_sum
@@ -66,6 +74,35 @@ def _inverse_distance_sq(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
     np.arccosh(field, out=field)
     field *= field
     return np.reciprocal(field, out=field)
+
+
+# points of the distance field built at once, and the most one field may have
+# (16384^2, which would be 2 GiB held whole)
+_FIELD_BLOCK = 1 << 16
+_FIELD_POINTS = 1 << 28
+
+
+def _field_integrals(grid: PlaneGrid, rows: np.ndarray, cols: np.ndarray, block: int = _FIELD_BLOCK):
+    """``grid.integrate`` of d^-2 and of d^-4 times ``rows`` and ``cols``, as (d2, d4).
+
+    Rows and columns whose weight is exactly 0 are never evaluated.  The rest
+    of the field is built in blocks of whole rows, about ``block`` points
+    each, and each block is summed against the column weights, then squared
+    in place and summed again.  Every field entry is the one a whole field
+    holds; only the order of the sums differs.
+    """
+    wr, wy = grid.wr * rows, grid.wy * cols
+    keep_r, keep_y = np.flatnonzero(wr), np.flatnonzero(wy)
+    rho, wr, y, wy = grid.rho[keep_r], wr[keep_r], grid.y[keep_y], wy[keep_y]
+    d2, d4 = np.empty(rho.size), np.empty(rho.size)
+    step = max(1, block // max(1, y.size))
+    for start in range(0, rho.size, step):
+        part = slice(start, start + step)
+        field = _inverse_distance_sq(rho[part], y)
+        d2[part] = field @ wy
+        field *= field
+        d4[part] = field @ wy
+    return float(wr @ d2), float(wr @ d4)
 
 
 @dataclass(frozen=True)
@@ -169,23 +206,29 @@ def _plane_integrals(v, N, spec, integrands, y_power=None):
 
     By Fubini a term is the sum over its pairs (a, b) of int a rho^{N-2} drho
     times int b dy.  With ``y_power`` p it adds "d2" and "d4", the integrals of
-    v^2 y^-p d^-2 and v^2 y^-p d^-4, from one field on the tensor grid.
+    v^2 y^-p d^-2 and v^2 y^-p d^-4, converged first in a loop of their own.
     """
+    spec = spec or PlaneQuadratureSpec()
+
+    def field(grid):
+        points = grid.rho.size * grid.y.size
+        if points > _FIELD_POINTS:
+            raise QuadratureError(
+                f"the distance field on {grid.rho.size} x {grid.y.size} nodes has {points} points, "
+                f"over the limit of {_FIELD_POINTS}; use fewer panels or nodes per panel"
+            )
+        rows, cols = v.phi(grid.rho) ** 2 * grid.rho ** (N - 2), v.psi(grid.y) ** 2 * grid.y ** -float(y_power)
+        d2, d4 = _field_integrals(grid, rows, cols)
+        return {"d2": d2, "d4": d4}
 
     def fn(grid):
         t = _PlaneTable(v, N, grid.rho, grid.y)
-        flat = grid.rho ** (N - 2)
-        wr = grid.wr * flat
-        out = {key: ordered_sum(float(wr @ a) * float(grid.wy @ b) for a, b in make(t)) for key, make in integrands.items()}
-        if y_power is not None:
-            rows, cols = t.p**2 * flat, t.q**2 * grid.y ** -float(y_power)
-            field = _inverse_distance_sq(grid.rho, grid.y)
-            out["d2"] = grid.integrate(field, rows, cols)
-            field *= field
-            out["d4"] = grid.integrate(field, rows, cols)
-        return out
+        wr = grid.wr * grid.rho ** (N - 2)
+        return {key: ordered_sum(float(wr @ a) * float(grid.wy @ b) for a, b in make(t)) for key, make in integrands.items()}
 
-    return converge_plane_terms(fn, spec or PlaneQuadratureSpec(), v.box)
+    fields = converge_plane_terms(field, spec, v.box) if y_power is not None else ({}, {})
+    vals, errs = converge_plane_terms(fn, spec, v.box)
+    return {**vals, **fields[0]}, {**errs, **fields[1]}
 
 
 def _plane_margin(case, v, N, table, spec, tol, y_power=None) -> MarginReport:

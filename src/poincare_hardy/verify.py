@@ -159,7 +159,7 @@ _SHARPNESS_CENTERS = (4.0, 6.0, 8.0, 12.0, 16.0)
 
 
 def sharpness_probe(case: str, N: int = 5, params=None, spec: QuadratureSpec | None = None) -> list[dict]:
-    """Quotient tables showing a constant being approached from above.
+    """Quotient tables that stay above a constant.
 
     "poincare_k1": for decay rates a just above (N-1)/2, the Rayleigh
     quotient int (u')^2 dv / int u^2 dv of u = exp(-a r) * cutoff approaches
@@ -168,8 +168,9 @@ def sharpness_probe(case: str, N: int = 5, params=None, spec: QuadratureSpec | N
     fused as exp(-2 a r + (N-1) log sinh r) to stay inside double range.
 
     "thm21_r2": for unit-width bumps centered at growing c, the quotient of
-    the second-order margin against its 1/r^2 remainder term stays >= 1 and
-    approaches the sharp constant from above; rows are (param=c, quotient).
+    the second-order margin against its 1/r^2 remainder term stays above 1,
+    the constant; it grows like c^2 and does not approach it.  Rows are
+    (param=c, quotient).
     """
     spec = spec or QuadratureSpec()
     if case == "poincare_k1":

@@ -155,3 +155,24 @@ CHAIN_REPLAY = {
     (6, 4, 13): ("1458", "910521/16", "11558295/16", "387040275/128", "654929145/256", "28676025/4096"),
     (6, 5, 13): ("729", "455625/16", "5791905/16", "194535675/128", "20784195/16", "28676025/4096"),
 }
+
+
+# The distance-field terms of halfspace rellich1 on the first `pole` member
+# (phi = bump_c0.0_w1.0_p2, psi = bump_c1.0_w0.5_p0), N = 5:
+# int int v^2 y^-2 d^-2k rho^3 drho dy with v = phi(rho) psi(y), for k = 1, 2.
+# Recorded at 20 digits (tanh-sinh's error estimates 1e-34 and 1e-38) by
+#
+#   with mpmath.workdps(20):
+#       def v2(rho, y):
+#           t = (y - 1) / mpmath.mpf(0.5)
+#           if rho >= 1 or abs(t) >= 1:
+#               return mpmath.mpf(0)
+#           return (rho**2 * mpmath.exp(-1 / (1 - rho**2)) * mpmath.exp(-1 / (1 - t * t))) ** 2
+#       def d2(rho, y):  # cosh d = 1 + 2 sinh^2(d/2): no cancellation near the pole
+#           return (2 * mpmath.asinh(mpmath.sqrt(((y - 1) ** 2 + rho**2) / (4 * y)))) ** 2
+#       for k in (1, 2):
+#           f = lambda rho, y: v2(rho, y) * rho**3 / (y**2 * d2(rho, y) ** k) if rho > 0 else mpmath.mpf(0)
+#           mpmath.quad(f, [0, 1], [0.5, 1, 1.5])
+#
+# which split the y range at the pole (0, 1), where d vanishes; about 14 s.
+POLE0_RELLICH1_N5 = {"d2": "7.5130740464664336264e-5", "d4": "2.1576651188136472493e-4"}

@@ -146,6 +146,18 @@ def test_allocation_failure_exits_2_quietly(argv, module, attr, fmt, capsys, mon
     assert err == f"memory failure: {_NO_MEMORY}\n"
 
 
+def test_oversized_field_is_refused_at_once(capsys):
+    # 100000 panels of 32 nodes a side is a 3200000^2 distance field, far over
+    # the 2^28-point limit: refused before the first block, not run for hours
+    code, out, err = run(["halfspace", "--which", "rellich1", "--N", "5", "--panels", "100000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "numerical failure: the distance field on 3200000 x 3200000 nodes has 10240000000000 points, "
+        "over the limit of 268435456; use fewer panels or nodes per panel\n"
+    )
+
+
 def test_measure_overflow_exits_2(capsys):
     # sinh^159 overflows past r = 690/159 = 4.34; the suite's bump_c3.5_w1.0
     # reaches 4.5, and only nodes inside a support are evaluated

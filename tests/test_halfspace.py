@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,9 +21,17 @@ from poincare_hardy import (
     margin_hardy_mazya,
 )
 from poincare_hardy import halfspace
-from poincare_hardy.halfspace import _PlaneTable, build_plane_grid, converge_plane_terms
+from poincare_hardy.halfspace import (
+    _FIELD_BLOCK,
+    _PlaneTable,
+    _field_integrals,
+    _inverse_distance_sq,
+    _plane_integrals,
+    build_plane_grid,
+    converge_plane_terms,
+)
 
-from _oracles import central_diff, trapezoid_plane
+from _oracles import POLE0_RELLICH1_N5, central_diff, trapezoid_plane
 
 
 def test_geodesic_distance_examples():
@@ -114,14 +123,16 @@ def _tensor_terms(which, v, N, grid, alpha=None):
 @pytest.mark.parametrize("which", ["rellich1", "rellich2", "hardy_mazya", "pf1"])
 @pytest.mark.parametrize("suite", ["standard", "pole"])
 def test_separable_terms_match_tensor_integrand(which, suite, monkeypatch):
-    # capture the per-grid terms of the Fubini route at refine 0 and 1
-    seen = []
+    # capture the per-grid terms at refine 0 and 1: the Fubini terms and, in
+    # their own doubling loop, the distance-field terms, merged per grid
+    seen = {}
 
     def two_grids(fn, spec, box):
         for refine in (0, 1):
             grid = build_plane_grid(spec, box, refine)
-            seen.append((grid, fn(grid)))
-        return seen[-1][1], {key: 0.0 for key in seen[-1][1]}
+            out = fn(grid)
+            seen.setdefault(refine, (grid, {}))[1].update(out)
+        return out, {key: 0.0 for key in out}
 
     monkeypatch.setattr(halfspace, "converge_plane_terms", two_grids)
     v, N, alpha = halfspace_suite(suite)[0], 5, 1.25
@@ -132,11 +143,65 @@ def test_separable_terms_match_tensor_integrand(which, suite, monkeypatch):
     else:
         margin_halfspace(which, v, N)
     assert len(seen) == 2
-    for grid, got in seen:
+    for grid, got in seen.values():
         want = _tensor_terms(which, v, N, grid, alpha)
         assert got.keys() == want.keys()
         for key, value in want.items():
             assert abs(got[key] - value) <= 1e-13 * abs(value), (grid.rho.size, key)
+
+
+@pytest.mark.parametrize("suite", ["standard", "pole"])
+def test_field_kernel_matches_dense_contraction(suite):
+    # the blocked sums that skip zero-weight rows and columns against the whole field at once
+    N, spec = 5, PlaneQuadratureSpec()
+    for v in halfspace_suite(suite):
+        for refine in (0, 1):
+            grid = build_plane_grid(spec, v.box, refine)
+            t = _PlaneTable(v, N, grid.rho, grid.y)
+            rows, cols = t.p**2 * grid.rho ** (N - 2), t.q**2 * grid.y**-2.0
+            field = _inverse_distance_sq(grid.rho, grid.y)
+            want = (grid.integrate(field, rows, cols), grid.integrate(field * field, rows, cols))
+            kept_rows, kept_cols = np.count_nonzero(grid.wr * rows), np.count_nonzero(grid.wy * cols)
+            # the default block, a block shorter than one row, and a block of
+            # whole rows that does not divide the rows kept
+            step = next(k for k in (7, 5, 3) if kept_rows % k)
+            for block in (_FIELD_BLOCK, kept_cols // 2, step * kept_cols):
+                got = _field_integrals(grid, rows, cols, block)
+                for g, w in zip(got, want):
+                    assert abs(g - w) <= 1e-14 * abs(w), (v.id, refine, block)
+
+
+def test_field_loop_stops_before_the_1d_terms(monkeypatch):
+    # lap2_y2 of this member needs a 1024^2 grid; the distance field has converged at 512^2
+    grids, fields = [], []
+
+    def recorded(spec, box, refine=0):
+        grid = build_plane_grid(spec, box, refine)
+        grids.append(grid.rho.size)
+        return grid
+
+    def counted(rho, y):
+        fields.append(y.size)
+        return _inverse_distance_sq(rho, y)
+
+    monkeypatch.setattr(halfspace, "build_plane_grid", recorded)
+    monkeypatch.setattr(halfspace, "_inverse_distance_sq", counted)
+    v = next(v for v in halfspace_suite("standard") if v.id == "bump_c1.5_w0.5_p0|bump_c1.0_w0.5_p0")
+    assert margin_halfspace("rellich1", v, 5).verdict
+    # the field loop runs first and stops at 512^2; then the 1-D loop reaches 1024^2
+    assert grids == [256, 512, 256, 512, 1024]
+    assert 256 < max(fields) <= 512
+
+
+def test_field_terms_match_mpmath_oracle():
+    # pole member 0, rellich1 (y^-2), N = 5: the distance d vanishes at the pole (0, 1), inside the box
+    v = halfspace_suite("pole")[0]
+    vals, errs = _plane_integrals(v, 5, None, {}, y_power=2.0)
+    for key, ref in POLE0_RELLICH1_N5.items():
+        with mpmath.workdps(20):
+            true_error = float(abs(mpmath.mpf(vals[key]) - mpmath.mpf(ref)))
+        # the error floor is one ulp, and the sums over the grid round by a few more
+        assert true_error <= errs[key] + 4 * np.spacing(abs(vals[key])), (key, true_error, errs[key])
 
 
 def test_rellich1_terms_match_trapezoid_oracle():
