@@ -252,13 +252,26 @@ def _cmd_sharpness(args):
 
 
 def _default_name(args) -> str:
+    """``<command>[_<case or which>][_<flags>]_N<N>.<ext>``, distinct for commands that compute different reports.
+
+    The flags named are k and l (``constants``, ``verify --case general``), beta
+    (``yang``), n (``estimate1``, ``estimate2``) and the suite; beta, n and the
+    suite only when they differ from their defaults, so default commands keep
+    their short names.
+    """
     bits = [args.command]
-    if args.command == "constants":
+    name = getattr(args, "case", None) or getattr(args, "which", None)
+    if name:
+        bits.append(name)
+    if args.command == "constants" or name == "general":
         bits.append(f"k{args.k}_l{args.l}")
-    for attr in ("case", "which"):
-        value = getattr(args, attr, None)
-        if value:
-            bits.append(value)
+    elif name == "yang" and args.beta:
+        bits.append(f"b{args.beta}")
+    elif name in ("estimate1", "estimate2") and args.n:
+        bits.append(f"n{args.n}")
+    suite = getattr(args, "suite", "standard")
+    if suite != "standard":
+        bits.append(suite)
     n = getattr(args, "N", None)
     if n is not None:
         bits.append(f"N{n}")

@@ -16,7 +16,8 @@ never rebuilds the field.  That loop stops once both change by at most
 ``rel_tol * max(|d2|, |d4|)``, a stricter scale than the family's largest
 term.  The field is built and contracted one block of rows at a time and
 never held whole; rows and columns with weight exactly 0 are skipped, and a
-grid over ``_FIELD_POINTS`` points is refused before any block is built.
+grid over ``_FIELD_POINTS`` points is refused before any block is built (the
+first grid's size is checked before that grid is built).
 """
 
 from __future__ import annotations
@@ -80,6 +81,16 @@ def _inverse_distance_sq(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
 # (16384^2, which would be 2 GiB held whole)
 _FIELD_BLOCK = 1 << 16
 _FIELD_POINTS = 1 << 28
+
+
+def _require_field_fits(n_rho: int, n_y: int) -> None:
+    """Refuse a distance field on n_rho x n_y nodes over ``_FIELD_POINTS`` points."""
+    points = n_rho * n_y
+    if points > _FIELD_POINTS:
+        raise QuadratureError(
+            f"the distance field on {n_rho} x {n_y} nodes has {points} points, "
+            f"over the limit of {_FIELD_POINTS}; use fewer panels or nodes per panel"
+        )
 
 
 def _field_integrals(grid: PlaneGrid, rows: np.ndarray, cols: np.ndarray, block: int = _FIELD_BLOCK):
@@ -211,12 +222,7 @@ def _plane_integrals(v, N, spec, integrands, y_power=None):
     spec = spec or PlaneQuadratureSpec()
 
     def field(grid):
-        points = grid.rho.size * grid.y.size
-        if points > _FIELD_POINTS:
-            raise QuadratureError(
-                f"the distance field on {grid.rho.size} x {grid.y.size} nodes has {points} points, "
-                f"over the limit of {_FIELD_POINTS}; use fewer panels or nodes per panel"
-            )
+        _require_field_fits(grid.rho.size, grid.y.size)
         rows, cols = v.phi(grid.rho) ** 2 * grid.rho ** (N - 2), v.psi(grid.y) ** 2 * grid.y ** -float(y_power)
         d2, d4 = _field_integrals(grid, rows, cols)
         return {"d2": d2, "d4": d4}
@@ -226,7 +232,11 @@ def _plane_integrals(v, N, spec, integrands, y_power=None):
         wr = grid.wr * grid.rho ** (N - 2)
         return {key: ordered_sum(float(wr @ a) * float(grid.wy @ b) for a, b in make(t)) for key, make in integrands.items()}
 
-    fields = converge_plane_terms(field, spec, v.box) if y_power is not None else ({}, {})
+    fields = ({}, {})
+    if y_power is not None:
+        side = spec.panels * spec.nodes_per_panel  # the first grid's nodes per axis, known before it is built
+        _require_field_fits(side, side)
+        fields = converge_plane_terms(field, spec, v.box)
     vals, errs = converge_plane_terms(fn, spec, v.box)
     return {**vals, **fields[0]}, {**errs, **fields[1]}
 

@@ -10,11 +10,12 @@ the n = 0 remainder from the three one-dimensional lemmas.
 The estimates and slacks are exact coefficient tables over one raw family of
 integrals of v under dr, from d's shared profile jet on each grid; the lemmas
 are verifier tables at N = 1 (measure dr, Laplacian d^2/dr^2), in one loop.
+Each grid memoises the raw family under (d, N) in ``Grid._terms``, so every
+mode and estimate on d at N integrates it once per grid.
 """
 
 from __future__ import annotations
 
-import functools
 from fractions import Fraction as F
 from types import SimpleNamespace
 
@@ -121,20 +122,21 @@ _LEMMAS = {
 }
 
 
-@functools.lru_cache(maxsize=8)
 def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
     """Every ``_RAW`` integral of v = sinh^{(N-1)/2} d, zero outside d's support; none depends on the mode n.
 
-    Cached, so callers share the returned dicts and must not change them.
+    Memoised per grid under (d, N), so callers share the returned dicts and must not change them.
     """
     @np.errstate(over="ignore", invalid="ignore")  # as in check_ph1
     def terms(grid):
-        span = grid.span(d.support)
-        r = grid.nodes[span]
-        v = to_v_transform(_profile_jets(d, grid, 2)[0], N, r)
-        weights = {name: _span_weight(grid, d.support, name) for name in _WEIGHTS}
-        t = SimpleNamespace(v=v.value(), dv=v.derivative(1), ddv=v.derivative(2), coth=coth(r), **weights)
-        return {key: grid.integrate(integrand(t), span) for key, integrand in _RAW.items()}
+        if (d, N) not in grid._terms:
+            span = grid.span(d.support)
+            r = grid.nodes[span]
+            v = to_v_transform(_profile_jets(d, grid, 2)[0], N, r)
+            weights = {name: _span_weight(grid, d.support, name) for name in _WEIGHTS}
+            t = SimpleNamespace(v=v.value(), dv=v.derivative(1), ddv=v.derivative(2), coth=coth(r), **weights)
+            grid._terms[d, N] = {key: grid.integrate(integrand(t), span) for key, integrand in _RAW.items()}
+        return grid._terms[d, N]
 
     return converge_terms(terms, spec, _support_r_max(d))
 

@@ -19,22 +19,20 @@ bit, where a dot product over the run alone can differ in the last bits.
 
 The weights and the measure on such a run do not depend on ``g``, so every
 radial grid integral (the verifier, the 1-D lemmas and the identities) reads
-them from two private caches, built once per span: ``_span_weight`` keyed on
-(grid, support, name), which serves every N, and ``_span_measure`` keyed on
-(grid, support, N).  A grid hashes by identity and a support is a tuple, so
-the key is hashable where the slice is not.  The cached arrays are the very
-arrays ``weight_values`` and ``measure_values`` return, made read-only, and
-callers keep the product order ``(g * w) * mu``: every float is the one an
-uncached evaluation gives.  Both caches are bounded: at most 34 arrays, each
-no longer than its grid, so under 9 MB on the finest default grid.  The
-refusal of an overflowing measure is an exception, which ``lru_cache`` never
-stores, so it repeats on every call.
+them from one private cache of named factors, built once per span:
+``_span_weight`` keyed on (grid, support, name), the measure being the name
+"sinh<N-1>".  A grid hashes by identity and a support is a tuple, so the key
+is hashable where the slice is not.  The cached arrays are the very arrays
+``weight_values`` returns, made read-only, and callers keep the product order
+``(g * w) * mu``: every float is the one an uncached evaluation gives.  The
+cache is bounded: at most 34 arrays, each no longer than its grid, so under
+9 MB on the finest default grid.  The refusal of an overflowing measure is an
+exception, which ``lru_cache`` never stores, so it repeats on every call.
 
-Each ``Grid`` also carries the verifier's memo of finished integrals
-(``_terms``, keyed by (u, N, k, weight); see ``verify``).  It lives on the
-grid rather than in a module-level table keyed by the grid, so it keeps no
-grid alive: when ``_cached_grid`` (64 entries) drops a grid, its memo goes
-with it.
+Each ``Grid`` also carries a memo of the integrals finished on it (``_terms``;
+see ``Grid``).  It lives on the grid rather than in a module-level table
+keyed by the grid, so it keeps no grid alive: when ``_cached_grid`` (64
+entries) drops a grid, its memo goes with it.
 """
 
 from __future__ import annotations
@@ -84,8 +82,9 @@ class QuadratureSpec:
 class Grid:
     """Nodes and weights of a composite Gauss-Legendre rule on (0, r_max].
 
-    ``_terms`` is the verifier's memo of the integrals already taken on this
-    grid (see ``verify._integrals``).
+    ``_terms`` memoises the integrals already taken on this grid: a verifier
+    term under (u, N, k, weight) (see ``verify._integrals``) and the raw
+    v-family of d under (d, N) (see ``identities._mode_raw_integrals``).
     """
 
     __slots__ = ("nodes", "weights", "_terms")
@@ -175,37 +174,37 @@ def log_sinh(r: np.ndarray) -> np.ndarray:
 
 
 def weight_values(weight: str, r: np.ndarray) -> np.ndarray:
-    """Values of a named singular weight at the nodes.
+    """Values of a named factor at the nodes: a singular weight or the measure.
 
-    Names: "one", "inv_r<p>" (r^-p, e.g. "inv_r2", "inv_r4"), "inv_sinh2",
-    "inv_sinh4".
+    Names: "one", "inv_r<p>" (r^-p, e.g. "inv_r2", "inv_r4"), "inv_sinh<p>"
+    (sinh^-p r, e.g. "inv_sinh2", "inv_sinh4") and "sinh<p>" (sinh^p r, the
+    measure at N = p + 1).  "sinh<p>" refuses nodes where it would overflow.
     """
     if weight == "one":
         return np.ones_like(r)
-    if weight == "inv_sinh2":
-        return np.sinh(r) ** -2.0
-    if weight == "inv_sinh4":
-        return np.sinh(r) ** -4.0
+    if weight.startswith("inv_sinh"):
+        return np.sinh(r) ** -float(int(weight[len("inv_sinh") :]))
     if weight.startswith("inv_r"):
         return r ** -float(int(weight[len("inv_r") :]))
+    if weight.startswith("sinh"):
+        p = int(weight[len("sinh") :])
+        if p * float(np.max(r, initial=0.0)) > 690.0:
+            raise QuadratureError(
+                f"sinh^{p} overflows double precision at r = {float(np.max(r)):g}; use a smaller support or dimension"
+            )
+        return np.sinh(r) ** p
     raise ValueError(f"unknown weight {weight!r}")
 
 
 def measure_values(r: np.ndarray, N: int) -> np.ndarray:
-    """The hyperbolic measure factor sinh^{N-1} r."""
-    if (N - 1) * float(np.max(r, initial=0.0)) > 690.0:
-        raise QuadratureError(
-            f"sinh^{N - 1} overflows double precision at r = {float(np.max(r)):g}; "
-            "use a smaller support or dimension"
-        )
-    return np.sinh(r) ** (N - 1)
+    """The hyperbolic measure factor sinh^{N-1} r: ``weight_values("sinh<N-1>")``."""
+    return weight_values(f"sinh{N - 1}", r)
 
 
-# entries of the per-span caches: weights serve every N, so one function's
-# doubling loop needs about 7 names x 5 grids; measures serve the one N its
-# margins run at
-_SPAN_WEIGHTS = 24
-_SPAN_MEASURES = 10
+# entries of the per-span cache: 24 for the weights, which serve every N (one
+# function's doubling loop needs about 7 names x 5 grids), and 10 for the
+# measures of the one N its margins run at
+_SPAN_WEIGHTS = 34
 
 
 @functools.lru_cache(maxsize=_SPAN_WEIGHTS)
@@ -214,14 +213,6 @@ def _span_weight(grid: Grid, support: tuple[float, float], name: str) -> np.ndar
     w = weight_values(name, grid.nodes[grid.span(support)])
     w.flags.writeable = False
     return w
-
-
-@functools.lru_cache(maxsize=_SPAN_MEASURES)
-def _span_measure(grid: Grid, support: tuple[float, float], N: int) -> np.ndarray:
-    """``measure_values(N)`` on ``grid.nodes[grid.span(support)]``, read-only."""
-    mu = measure_values(grid.nodes[grid.span(support)], N)
-    mu.flags.writeable = False
-    return mu
 
 
 def _doubling(fn, spec, build):

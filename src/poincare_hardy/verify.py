@@ -21,8 +21,9 @@ order and no tower depth: coefficient j of a jet is the same float whatever
 the jet's order, so a level's value and slope, and every integral read from
 them, are the same whatever depth the table was built with.  A term is
 stored only once every term of its evaluation is in, so a refused measure
-leaves nothing behind.  The memo lives on the grid, so it is bounded by the
-grid cache and dies with the grid.
+(the factor "sinh<N-1>" of ``quadrature._span_weight``) leaves nothing
+behind.  The memo lives on the grid, so it is bounded by the grid cache and
+dies with the grid; the identities' raw v-family shares it under (d, N).
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .constants import (
 from .errors import HypothesisError
 from .profiles import Bump, Cutoff, RadialProfile
 from .operators import gradk_sq_values, radial_table
-from .quadrature import QuadratureSpec, _span_measure, _span_weight, _support_r_max, converge_terms, log_sinh
+from .quadrature import QuadratureSpec, _span_weight, _support_r_max, converge_terms, log_sinh
 from .reports import MarginReport
 
 __all__ = [
@@ -68,7 +69,7 @@ def _integrals(u, N, spec, integrands):
             table = radial_table(u, N, grid, levels)
             # the measure first, so its overflow refusal comes before any weight; at N = 1 it is
             # sinh^0 r = 1, and x * 1.0 == x, so it is left out
-            mu = None if N == 1 else _span_measure(grid, u.support, N)
+            mu = None if N == 1 else _span_weight(grid, u.support, f"sinh{N - 1}")
             new = {}
             for term in missing:
                 _, _, k, weight = term

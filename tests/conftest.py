@@ -6,15 +6,13 @@ or doubling loops would otherwise depend on which tests ran before it.
 
 import pytest
 
-from poincare_hardy import constants, identities, operators, quadrature
+from poincare_hardy import constants, operators, quadrature
 
 _CACHES = (
-    quadrature._cached_grid,  # each grid owns its memo of verifier terms, so this clears those too
+    quadrature._cached_grid,  # each grid owns its term memo, so this clears that too
     quadrature._span_weight,
-    quadrature._span_measure,
     operators._profile_jets,
     operators.radial_table,
-    identities._mode_raw_integrals,
     constants.chain_replay,
 )
 

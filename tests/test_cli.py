@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from poincare_hardy import Bump, cli
+from poincare_hardy import Bump, cli, halfspace
 from poincare_hardy.cli import main
 from poincare_hardy.reports import MarginReport
 
@@ -146,10 +146,14 @@ def test_allocation_failure_exits_2_quietly(argv, module, attr, fmt, capsys, mon
     assert err == f"memory failure: {_NO_MEMORY}\n"
 
 
-def test_oversized_field_is_refused_at_once(capsys):
+def test_oversized_field_is_refused_at_once(capsys, monkeypatch):
     # 100000 panels of 32 nodes a side is a 3200000^2 distance field, far over
-    # the 2^28-point limit: refused before the first block, not run for hours
+    # the 2^28-point limit: refused before its grid is built, not run for hours
+    built = []
+    build = halfspace.build_plane_grid
+    monkeypatch.setattr(halfspace, "build_plane_grid", lambda *args: built.append(args) or build(*args))
     code, out, err = run(["halfspace", "--which", "rellich1", "--N", "5", "--panels", "100000"], capsys)
+    assert built == []
     assert code == 2
     assert out == ""
     assert err == (
@@ -305,6 +309,38 @@ def test_out_file_and_outdir_env(tmp_path, capsys, monkeypatch):
     assert code == 0 and out == ""
     auto = tmp_path / "auto" / "verify_poincare_N5.json"
     assert auto.exists()
+
+
+# pairs of commands that compute different reports; coarse grids keep them fast
+_COARSE = ["--panels", "4", "--nodes", "16", "--doublings", "1", "--format", "json"]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (
+            ["verify", "--case", "general", "--k", "2", "--l", "1", "--N", "9"],
+            ["verify", "--case", "general", "--k", "3", "--l", "2", "--N", "9"],
+        ),
+        (
+            ["identity", "--which", "estimate1", "--N", "5", "--n", "0"],
+            ["identity", "--which", "estimate1", "--N", "5", "--n", "2"],
+        ),
+        (["verify", "--case", "yang", "--N", "7"], ["verify", "--case", "yang", "--N", "7", "--beta", "2"]),
+        (["verify", "--case", "poincare", "--N", "5"], ["verify", "--case", "poincare", "--N", "5", "--suite", "origin"]),
+    ],
+    ids=["general_k_l", "estimate1_n", "yang_beta", "suite"],
+)
+def test_auto_named_outputs_of_different_reports_are_distinct(first, second, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("POINCARE_HARDY_OUTDIR", str(tmp_path))
+    written = {}
+    for argv in (first, second):
+        code, out, _ = run([*argv, *_COARSE], capsys)
+        assert code in (0, 1) and out == ""
+        written.update({path.name: path.read_text() for path in tmp_path.iterdir() if path.name not in written})
+    # two files, and the second command left the first one's file as it was
+    assert len(written) == 2
+    assert {path.name: path.read_text() for path in tmp_path.iterdir()} == written
 
 
 def test_unwritable_output_exits_2(capsys):

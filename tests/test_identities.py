@@ -7,6 +7,8 @@ forces plus signs on both right-hand constants and a mode term
 term misses by an O(1) relative residual even on smooth members.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from poincare_hardy import (
     check_pf2,
     identities,
     load_suite,
+    quadrature,
 )
 from poincare_hardy.identities import (
     check_1d_lemmas,
@@ -94,16 +97,22 @@ def test_estimate_identities(n):
         assert r2.max_rel_residual < 1e-12
 
 
-def test_mode_integrals_converge_once_for_both_estimates_and_modes(monkeypatch):
-    # the raw v-side integrals do not depend on n, so one doubling loop serves all four reports
-    calls = []
-    converge = identities.converge_terms
-    monkeypatch.setattr(identities, "converge_terms", lambda *args: calls.append(args) or converge(*args))
+def test_mode_integrals_are_taken_once_per_grid_for_both_estimates_and_modes(monkeypatch, clear_caches):
+    # the raw v-side integrals depend on neither n nor the estimate, so each grid integrates
+    # the family once and all four reports read it from the grid's memo
+    grids = []
+    integrate = quadrature.Grid.integrate
+    monkeypatch.setattr(quadrature.Grid, "integrate", lambda self, *args: grids.append(id(self)) or integrate(self, *args))
     u = Bump(2.0, 1.0, 1)
+    assert check_estimate1(u, 0, 7).verdict
+    once = len(grids)
+    clear_caches()
+    grids.clear()
     for n in (0, 2):
         assert check_estimate1(u, n, 7).verdict
         assert check_estimate2(u, n, 7).verdict
-    assert len(calls) == 1
+    assert len(grids) == once > 0
+    assert set(Counter(grids).values()) == {len(identities._RAW)}
 
 
 def test_estimates_of_every_dimension_read_one_profile_jet_per_grid(monkeypatch):

@@ -1,4 +1,4 @@
-"""The per-span weight and measure caches and the per-grid term memo: same floats as the formulas, safe to share."""
+"""The per-span cache of weights and measures and the per-grid term memo: same floats as the formulas, safe to share."""
 
 import gc
 
@@ -17,7 +17,7 @@ from poincare_hardy import (
 )
 from poincare_hardy import quadrature, verify
 from poincare_hardy.operators import gradk_sq_values, radial_table
-from poincare_hardy.quadrature import _span_measure, _span_weight, build_grid, measure_values, weight_values
+from poincare_hardy.quadrature import _span_weight, build_grid, measure_values, weight_values
 
 # every weight the verifier and the lemmas integrate against, at jet orders 0..2
 _INTEGRANDS = {
@@ -55,10 +55,12 @@ def test_cached_terms_equal_the_formulas_bit_for_bit(monkeypatch, suite, N):
 
 def test_lemmas_at_n1_read_no_measure(monkeypatch):
     # sinh^0 r = 1 changes no product, so N = 1 skips the measure and its sinh pass
-    def refuse(r, N):
-        raise AssertionError("measure_values called at N = 1")
+    def refuse(name, r):
+        if name.startswith("sinh"):
+            raise AssertionError(f"measure {name!r} read at N = 1")
+        return weight_values(name, r)
 
-    monkeypatch.setattr(quadrature, "measure_values", refuse)
+    monkeypatch.setattr(quadrature, "weight_values", refuse)
     vals, _ = verify._integrals(Bump(2.0, 1.0, 1), 1, QuadratureSpec(), _INTEGRANDS)
     assert vals["grad"] > 0.0
 
@@ -66,12 +68,11 @@ def test_lemmas_at_n1_read_no_measure(monkeypatch):
 def test_cached_arrays_are_read_only_and_bounded():
     grid = build_grid(QuadratureSpec(), 4.0)
     support = (1.0, 3.0)
-    for arr in (_span_weight(grid, support, "inv_r2"), _span_measure(grid, support, 5)):
+    for arr in (_span_weight(grid, support, "inv_r2"), _span_weight(grid, support, "sinh4")):
         assert arr.size and not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    for cached in (_span_weight, _span_measure):
-        assert 0 < cached.cache_info().maxsize < 1000
+    assert 0 < _span_weight.cache_info().maxsize < 1000
 
 
 def test_margins_do_not_depend_on_cache_order(clear_caches):
@@ -92,6 +93,11 @@ def test_measure_overflow_is_refused_on_every_call():
     grid = build_grid(QuadratureSpec(), quadrature._support_r_max(u))
     assert quadrature._cached_grid.cache_info().currsize == 1
     assert grid._terms == {}
+    # read directly, the measure refuses on every call too and is never stored
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="overflows"):
+            _span_weight(grid, u.support, "sinh4")
+    assert _span_weight.cache_info().currsize == 0
 
 
 # four families whose tables share terms: rellich and general (2, 0) are one table under two names
