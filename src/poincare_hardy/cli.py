@@ -255,9 +255,10 @@ def _default_name(args) -> str:
     """``<command>[_<case or which>][_<flags>]_N<N>.<ext>``, distinct for commands that compute different reports.
 
     The flags named are k and l (``constants``, ``verify --case general``), beta
-    (``yang``), n (``estimate1``, ``estimate2``) and the suite; beta, n and the
-    suite only when they differ from their defaults, so default commands keep
-    their short names.
+    (``yang``), n (``estimate1``, ``estimate2``) and the suite, the last three
+    only when they differ from their defaults; then alpha, params, tol, panels,
+    nodes and doublings, each only when given (``halfspace_pf1_alpha1.0_N5.json``).
+    Default commands keep their short names.
     """
     bits = [args.command]
     name = getattr(args, "case", None) or getattr(args, "which", None)
@@ -272,6 +273,10 @@ def _default_name(args) -> str:
     suite = getattr(args, "suite", "standard")
     if suite != "standard":
         bits.append(suite)
+    for flag in ("alpha", "params", "tol", "panels", "nodes", "doublings"):
+        value = getattr(args, flag, None)
+        if value is not None and value != "":  # --params= runs the default params
+            bits.append(flag + (",".join(map(str, value)) if isinstance(value, list) else str(value)))
     n = getattr(args, "N", None)
     if n is not None:
         bits.append(f"N{n}")

@@ -8,7 +8,8 @@ the mode argument rests on, and exposes the slack decomposition that rebuilds
 the n = 0 remainder from the three one-dimensional lemmas.
 
 The estimates and slacks are exact coefficient tables over one raw family of
-integrals of v under dr, from d's shared profile jet on each grid; the lemmas
+integrals of v under dr, from d's shared profile jet on each grid of d's
+support, which holds only the nodes strictly inside it; the lemmas
 are verifier tables at N = 1 (measure dr, Laplacian d^2/dr^2), in one loop.
 Each grid memoises the raw family under (d, N) in ``Grid._terms``, so every
 mode and estimate on d at N integrates it once per grid.
@@ -26,7 +27,7 @@ from .errors import HypothesisError
 from .jets import coth, coth_jet
 from .profiles import RadialProfile
 from .operators import _profile_jets, laplace_of_jet, to_v_transform
-from .quadrature import QuadratureSpec, _chebyshev, _span_weight, _support_r_max, converge_terms
+from .quadrature import QuadratureSpec, _chebyshev, _grid_weight, converge_terms
 from .reports import IdentityResidualReport, MarginReport, ordered_sum
 from .verify import _coefficients, _integrals
 
@@ -130,15 +131,14 @@ def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
     @np.errstate(over="ignore", invalid="ignore")  # as in check_ph1
     def terms(grid):
         if (d, N) not in grid._terms:
-            span = grid.span(d.support)
-            r = grid.nodes[span]
+            r = grid.nodes
             v = to_v_transform(_profile_jets(d, grid, 2)[0], N, r)
-            weights = {name: _span_weight(grid, d.support, name) for name in _WEIGHTS}
+            weights = {name: _grid_weight(grid, name) for name in _WEIGHTS}
             t = SimpleNamespace(v=v.value(), dv=v.derivative(1), ddv=v.derivative(2), coth=coth(r), **weights)
-            grid._terms[d, N] = {key: grid.integrate(integrand(t), span) for key, integrand in _RAW.items()}
+            grid._terms[d, N] = {key: grid.integrate(integrand(t)) for key, integrand in _RAW.items()}
         return grid._terms[d, N]
 
-    return converge_terms(terms, spec, _support_r_max(d))
+    return converge_terms(terms, spec, d.support)
 
 
 def _combine(vals: dict, coef: dict) -> float:

@@ -4,10 +4,9 @@ For a radial function u(r) in geodesic polar coordinates the Laplacian is
 u'' + (N-1) coth(r) u'; iterating it and taking one more derivative covers
 every |grad^k u|^2 integrand: (Lap^m u)^2 for k = 2m and ((Lap^m u)')^2 for
 k = 2m+1.  ``RadialTable`` evaluates the whole tower once per test function,
-dimension and grid so the verifier's many integrals share one pipeline.  It
-does so only on the nodes strictly inside the support (``Grid.span``): outside
-it every jet coefficient of the profile is exactly 0, so is every level of the
-tower, and the table's arrays cover ``grid.nodes[table.span]`` alone.
+dimension and grid so the verifier's many integrals share one pipeline.  A
+radial grid holds only the nodes strictly inside one support (see
+``quadrature``), so the table's arrays cover ``grid.nodes`` as they are.
 
 Only the Laplacian levels carry N.  The jets of u and of coth on those nodes
 are built once per (u, grid, order) and serve every radial grid integral (the
@@ -60,22 +59,20 @@ def to_v_transform(ujet: Jet, N: int, r: np.ndarray) -> Jet:
 
 @functools.lru_cache(maxsize=8)
 def _profile_jets(u: RadialProfile, grid: Grid, order: int) -> tuple[Jet, Jet]:
-    """The jets of u and of coth on ``grid.nodes[grid.span(u.support)]``, read-only; they do not depend on N."""
-    r = grid.nodes[grid.span(u.support)]
-    jets = (u.jet(r, order), coth_jet(r, order))
+    """The jets of u and of coth on ``grid.nodes``, read-only; they do not depend on N."""
+    jets = (u.jet(grid.nodes, order), coth_jet(grid.nodes, order))
     for jet in jets:
         jet.coef.flags.writeable = False
     return jets
 
 
 class RadialTable:
-    """Values and first derivatives of u, Lap u, ..., Lap^levels u on the grid nodes in ``span``.
+    """Values and first derivatives of u, Lap u, ..., Lap^levels u on the grid nodes.
 
     Level 0 is the shared profile jet of ``_profile_jets``: its arrays are read-only.
     """
 
     def __init__(self, u: RadialProfile, N: int, grid: Grid, levels: int):
-        self.span = grid.span(u.support)
         ujet, cj = _profile_jets(u, grid, 2 * levels + 1)
         tower = [ujet]
         for _ in range(levels):
@@ -84,11 +81,11 @@ class RadialTable:
         self._tower = tower
 
     def values(self, level: int) -> np.ndarray:
-        """Lap^level u at the nodes in ``span``."""
+        """Lap^level u at the grid nodes."""
         return self._tower[level].value()
 
     def deriv(self, level: int) -> np.ndarray:
-        """(Lap^level u)' at the nodes in ``span``."""
+        """(Lap^level u)' at the grid nodes."""
         return self._tower[level].derivative(1)
 
 

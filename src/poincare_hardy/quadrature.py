@@ -1,7 +1,7 @@
 """Composite Gauss-Legendre quadrature for weighted radial integrals.
 
-Integrals have the shape ``int_0^rmax g(r) w(r) mu(r) dr`` with a smooth
-compactly supported ``g``, a possibly singular weight ``w`` (powers of 1/r or
+Integrals have the shape ``int_lo^hi g(r) w(r) mu(r) dr`` with a smooth
+``g`` supported in [lo, hi], a possibly singular weight ``w`` (powers of 1/r or
 1/sinh r), and the measure ``mu`` (sinh^{N-1} r for ambient hyperbolic
 integrals, 1 for the reduced one-dimensional ones).  Panels are placed
 geometrically toward the origin so the 1/r^{2j} weights meet enough nodes
@@ -10,24 +10,24 @@ and comparing.  The panel rule, the doubling loop, the spec (which the plane
 spec subclasses) and the Chebyshev sampler here are shared with the
 half-space tensor grid.
 
-A compactly supported ``g`` is zero on most of the grid, so callers evaluate
-it only on the contiguous run of nodes strictly inside its support
-(``Grid.span``).  ``Grid.integrate`` scatters those values back into a
-full-length array before the dot product: the sum then runs over every
-weight in the same order as a full-grid evaluation and is equal to it bit for
-bit, where a dot product over the run alone can differ in the last bits.
+So a radial grid belongs to one support (lo, hi): ``_cached_grid`` lays the
+composite rule out on (0, hi + 1] and keeps only the nodes strictly inside
+(lo, hi), with their weights; it refuses a profile with no compact support.
+Outside the support every jet coefficient of ``g`` is exactly 0, so the
+dropped nodes would add nothing but zeros, and callers evaluate their
+integrands on ``grid.nodes`` as they are.
 
-The weights and the measure on such a run do not depend on ``g``, so every
+The weights and the measure on a grid do not depend on ``g``, so every
 radial grid integral (the verifier, the 1-D lemmas and the identities) reads
-them from one private cache of named factors, built once per span:
-``_span_weight`` keyed on (grid, support, name), the measure being the name
-"sinh<N-1>".  A grid hashes by identity and a support is a tuple, so the key
-is hashable where the slice is not.  The cached arrays are the very arrays
-``weight_values`` returns, made read-only, and callers keep the product order
-``(g * w) * mu``: every float is the one an uncached evaluation gives.  The
-cache is bounded: at most 34 arrays, each no longer than its grid, so under
-9 MB on the finest default grid.  The refusal of an overflowing measure is an
-exception, which ``lru_cache`` never stores, so it repeats on every call.
+them from one private cache of named factors, built once per grid:
+``_grid_weight`` keyed on (grid, name), the measure being the name
+"sinh<N-1>".  A grid hashes by identity.  The cached arrays are the very
+arrays ``weight_values`` returns, made read-only, and callers keep the
+product order ``(g * w) * mu``: every float is the one an uncached
+evaluation gives.  The cache is bounded: at most 34 arrays, each no longer
+than its grid, so under 9 MB on the finest default grid.  The refusal of an
+overflowing measure is an exception, which ``lru_cache`` never stores, so it
+repeats on every call.
 
 Each ``Grid`` also carries a memo of the integrals finished on it (``_terms``;
 see ``Grid``).  It lives on the grid rather than in a module-level table
@@ -50,7 +50,6 @@ __all__ = [
     "Grid",
     "build_grid",
     "weight_values",
-    "measure_values",
     "log_sinh",
     "converge_terms",
 ]
@@ -58,9 +57,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration policy for radial integrals on (0, r_max].
+    """Integration policy for radial integrals over a support (lo, hi).
 
-    The domain comes from the caller (``_support_r_max`` for every certificate).
+    The panels cover (0, r_max] with r_max = hi + 1 (see ``_cached_grid``).
     The first panel break sits at ``1e-6 * r_max`` and breaks
     grow geometrically from there.
     """
@@ -80,7 +79,7 @@ class QuadratureSpec:
 
 
 class Grid:
-    """Nodes and weights of a composite Gauss-Legendre rule on (0, r_max].
+    """Nodes and weights of a composite Gauss-Legendre rule, ascending, inside one support.
 
     ``_terms`` memoises the integrals already taken on this grid: a verifier
     term under (u, N, k, weight) (see ``verify._integrals``) and the raw
@@ -94,22 +93,9 @@ class Grid:
         self.weights = weights
         self._terms = {}
 
-    def span(self, support: tuple[float, float] | None) -> slice:
-        """The nodes strictly inside ``support``, as a slice; every node when it is None.
-
-        The nodes ascend, so the nodes inside any interval are one contiguous run.
-        """
-        if support is None:
-            return slice(None)
-        lo, hi = support
-        start = int(np.searchsorted(self.nodes, lo, side="right"))
-        return slice(start, int(np.searchsorted(self.nodes, hi, side="left")))
-
-    def integrate(self, values: np.ndarray, span: slice = slice(None)) -> float:
-        """Weighted sum of ``values`` given on the nodes ``span``; every other node counts as 0."""
-        full = np.zeros(self.weights.shape)  # calloc'd: no fill pass, unlike zeros_like
-        full[span] = values
-        return float(np.dot(full, self.weights))
+    def integrate(self, values: np.ndarray) -> float:
+        """Weighted sum of ``values`` given on the nodes."""
+        return float(np.dot(values, self.weights))
 
 
 @functools.lru_cache(maxsize=None)
@@ -130,28 +116,29 @@ _MIN_BREAK_FRACTION = 1e-6
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_grid(spec: QuadratureSpec, r_max: float, refine: int) -> Grid:
+def _cached_grid(spec: QuadratureSpec, support: tuple[float, float], refine: int) -> Grid:
+    if support is None:
+        raise ValueError("integral checks need a compactly supported profile")
+    lo, hi = support
+    r_max = hi + 1.0
+    if not 0 < r_max < np.inf:
+        raise QuadratureError(f"r_max must be positive and finite, got {r_max}")
     panels = spec.panels * (1 << refine)
     if panels == 1:
         breaks = np.array([0.0, r_max])
     else:
         ratio = _MIN_BREAK_FRACTION ** (1.0 / (panels - 1))
         breaks = np.concatenate(([0.0], r_max * ratio ** np.arange(panels - 1, -1, -1.0)))
-    return Grid(*_panel_rule(breaks, spec.nodes_per_panel))
+    nodes, weights = _panel_rule(breaks, spec.nodes_per_panel)
+    # the nodes ascend, so the nodes inside the support are one contiguous run;
+    # the copies let the full rule go
+    inside = slice(int(np.searchsorted(nodes, lo, side="right")), int(np.searchsorted(nodes, hi, side="left")))
+    return Grid(nodes[inside].copy(), weights[inside].copy())
 
 
-def _support_r_max(u) -> float:
-    """The radial domain of every certificate on u: its support end plus 1."""
-    if u.support is None:
-        raise ValueError("integral checks need a compactly supported profile")
-    return u.support[1] + 1.0
-
-
-def build_grid(spec: QuadratureSpec, r_max: float, refine: int = 0) -> Grid:
-    """Build the composite rule on (0, r_max]."""
-    if not 0 < r_max < np.inf:
-        raise QuadratureError(f"r_max must be positive and finite, got {r_max}")
-    return _cached_grid(spec, float(r_max), refine)
+def build_grid(spec: QuadratureSpec, support: tuple[float, float], refine: int = 0) -> Grid:
+    """The composite rule on (0, hi + 1], cut down to the nodes strictly inside ``support`` = (lo, hi)."""
+    return _cached_grid(spec, support, refine)
 
 
 # share of [lo, hi] that Chebyshev samples leave out at each end
@@ -196,21 +183,16 @@ def weight_values(weight: str, r: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown weight {weight!r}")
 
 
-def measure_values(r: np.ndarray, N: int) -> np.ndarray:
-    """The hyperbolic measure factor sinh^{N-1} r: ``weight_values("sinh<N-1>")``."""
-    return weight_values(f"sinh{N - 1}", r)
-
-
-# entries of the per-span cache: 24 for the weights, which serve every N (one
+# entries of the per-grid cache: 24 for the weights, which serve every N (one
 # function's doubling loop needs about 7 names x 5 grids), and 10 for the
 # measures of the one N its margins run at
-_SPAN_WEIGHTS = 34
+_GRID_WEIGHTS = 34
 
 
-@functools.lru_cache(maxsize=_SPAN_WEIGHTS)
-def _span_weight(grid: Grid, support: tuple[float, float], name: str) -> np.ndarray:
-    """``weight_values(name)`` on ``grid.nodes[grid.span(support)]``, read-only."""
-    w = weight_values(name, grid.nodes[grid.span(support)])
+@functools.lru_cache(maxsize=_GRID_WEIGHTS)
+def _grid_weight(grid: Grid, name: str) -> np.ndarray:
+    """``weight_values(name)`` on ``grid.nodes``, read-only."""
+    w = weight_values(name, grid.nodes)
     w.flags.writeable = False
     return w
 
@@ -232,8 +214,8 @@ def _doubling(fn, spec, build):
     return prev, errors
 
 
-def converge_terms(fn, spec: QuadratureSpec, r_max: float):
-    """Evaluate a keyed family of integrals under panel doubling.
+def converge_terms(fn, spec: QuadratureSpec, support: tuple[float, float]):
+    """Evaluate a keyed family of integrals over ``support`` under panel doubling.
 
     ``fn(grid)`` returns a dict of floats sharing one integrand pipeline.
     Returns ``(values, errors)`` where values come from the finest grid and
@@ -243,4 +225,4 @@ def converge_terms(fn, spec: QuadratureSpec, r_max: float):
     every change is at most ``rel_tol * max|value| + abs_tol``.  Never raises
     on slow convergence: the errors are the caller's evidence.
     """
-    return _doubling(fn, spec, lambda refine: build_grid(spec, r_max, refine))
+    return _doubling(fn, spec, lambda refine: build_grid(spec, support, refine))

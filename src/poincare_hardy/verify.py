@@ -5,10 +5,11 @@ integral of ``|grad^k u|^2 * weight`` over the hyperbolic measure, with
 k = 0 meaning ``u^2`` and ``weight`` a name from ``quadrature.weight_values``;
 ``coef`` is its exact coefficient, positive for a left-hand term and negative
 for a right-hand one.  One evaluator converges every integral of a table under
-panel doubling and returns a MarginReport whose verdict demands the margin be
-nonnegative up to tol * scale with quadrature noise below the same gate.  A
-report can therefore fail either because the inequality is violated or
-because the integrals cannot be trusted at the requested tolerance.  A new
+panel doubling, on grids that hold only the nodes strictly inside u's support
+(see ``quadrature``), and returns a MarginReport whose verdict demands the
+margin be nonnegative up to tol * scale with quadrature noise below the same
+gate.  A report can therefore fail either because the inequality is violated
+or because the integrals cannot be trusted at the requested tolerance.  A new
 inequality is one more table.  The 1-D lemmas (``verify --case hardy1d``) are
 three tables at N = 1, where the measure is dr and the Laplacian d^2/dr^2.
 
@@ -21,7 +22,7 @@ order and no tower depth: coefficient j of a jet is the same float whatever
 the jet's order, so a level's value and slope, and every integral read from
 them, are the same whatever depth the table was built with.  A term is
 stored only once every term of its evaluation is in, so a refused measure
-(the factor "sinh<N-1>" of ``quadrature._span_weight``) leaves nothing
+(the factor "sinh<N-1>" of ``quadrature._grid_weight``) leaves nothing
 behind.  The memo lives on the grid, so it is bounded by the grid cache and
 dies with the grid; the identities' raw v-family shares it under (d, N).
 """
@@ -40,7 +41,7 @@ from .constants import (
 from .errors import HypothesisError
 from .profiles import Bump, Cutoff, RadialProfile
 from .operators import gradk_sq_values, radial_table
-from .quadrature import QuadratureSpec, _span_weight, _support_r_max, converge_terms, log_sinh
+from .quadrature import QuadratureSpec, _grid_weight, converge_terms, log_sinh
 from .reports import MarginReport
 
 __all__ = [
@@ -69,20 +70,20 @@ def _integrals(u, N, spec, integrands):
             table = radial_table(u, N, grid, levels)
             # the measure first, so its overflow refusal comes before any weight; at N = 1 it is
             # sinh^0 r = 1, and x * 1.0 == x, so it is left out
-            mu = None if N == 1 else _span_weight(grid, u.support, f"sinh{N - 1}")
+            mu = None if N == 1 else _grid_weight(grid, f"sinh{N - 1}")
             new = {}
             for term in missing:
                 _, _, k, weight = term
                 values = gradk_sq_values(table, k)
                 if weight != "one":  # no ones array: it would raise peak memory for nothing
-                    values = values * _span_weight(grid, u.support, weight)
+                    values = values * _grid_weight(grid, weight)
                 if mu is not None:
                     values = values * mu
-                new[term] = grid.integrate(values, table.span)
+                new[term] = grid.integrate(values)
             memo.update(new)  # only once every term is in: a refusal stores nothing
         return {key: memo[term] for key, term in terms.items()}
 
-    return converge_terms(fn, spec, _support_r_max(u))
+    return converge_terms(fn, spec, u.support)
 
 
 def _coefficients(table: dict) -> dict:
@@ -200,7 +201,7 @@ def sharpness_probe(case: str, N: int = 5, params=None, spec: QuadratureSpec | N
                     "den": grid.integrate(c**2 * env),
                 }
 
-            vals, _ = converge_terms(fn, spec, r_cut)
+            vals, _ = converge_terms(fn, spec, chi.support)
             rows.append({"param": a, "quotient": vals["num"] / vals["den"]})
         return rows
     if case == "thm21_r2":

@@ -343,6 +343,52 @@ def test_auto_named_outputs_of_different_reports_are_distinct(first, second, tmp
     assert {path.name: path.read_text() for path in tmp_path.iterdir()} == written
 
 
+@pytest.mark.parametrize(
+    "first, second, names",
+    [
+        (
+            ["halfspace", "--which", "pf1", "--N", "5", "--alpha", "1.0"],
+            ["halfspace", "--which", "pf1", "--N", "5", "--alpha", "2.0"],
+            {"halfspace_pf1_alpha1.0_N5.json", "halfspace_pf1_alpha2.0_N5.json"},
+        ),
+        (
+            ["sharpness", "--case", "thm21_r2", "--N", "5", "--params", "4.0"],
+            ["sharpness", "--case", "thm21_r2", "--N", "5", "--params", "6.0"],
+            {"sharpness_thm21_r2_params4.0_N5.json", "sharpness_thm21_r2_params6.0_N5.json"},
+        ),
+        (
+            ["verify", "--case", "thm21", "--N", "5", "--doublings", "1"],
+            ["verify", "--case", "thm21", "--N", "5"],
+            {"verify_thm21_doublings1_N5.json", "verify_thm21_N5.json"},
+        ),
+    ],
+    ids=["alpha", "params", "doublings"],
+)
+def test_auto_names_carry_the_numeric_flags_given(first, second, names, tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("POINCARE_HARDY_OUTDIR", str(tmp_path))
+    for argv in (first, second):
+        code, out, _ = run([*argv, "--format", "json"], capsys)
+        assert code in (0, 1) and out == ""
+    assert {path.name for path in tmp_path.iterdir()} == names
+
+
+def test_auto_names_of_each_numeric_flag(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("POINCARE_HARDY_OUTDIR", str(tmp_path))
+    base = ["verify", "--case", "poincare", "--N", "5", "--panels", "4", "--nodes", "16", "--doublings", "0"]
+    # 0 doublings is a budget given, and named (a loop of one grid measures no noise, so it fails);
+    # --alpha takes several, and --params= runs, and names, the default centers
+    assert run([*base, "--tol", "1e-6", "--format", "csv"], capsys)[0] == 1
+    assert run(["sharpness", "--case", "thm21_r2", "--params=4,6", "--doublings", "0"], capsys)[0] == 0
+    assert run(["sharpness", "--case", "thm21_r2", "--params="], capsys)[0] == 0
+    assert run(["halfspace", "--which", "pf2", "--alpha", "1", "--alpha", "-0.5"], capsys)[0] == 0
+    assert {path.name for path in tmp_path.iterdir()} == {
+        "verify_poincare_tol1e-06_panels4_nodes16_doublings0_N5.csv",
+        "sharpness_thm21_r2_params4,6_doublings0_N5.txt",
+        "sharpness_thm21_r2_N5.txt",
+        "halfspace_pf2_alpha1.0,-0.5_N5.txt",
+    }
+
+
 def test_unwritable_output_exits_2(capsys):
     code, _, err = run(
         ["constants", "--k", "1", "--l", "0", "--N", "3", "--out", "/dev/null/nope/x.txt"],

@@ -159,7 +159,7 @@ def test_identity_on_zero_function_is_rejected(check):
 def test_estimate2_printed_sign_variant_fails():
     d, n, N = Bump(2.0, 1.0, 0), 1, 5
     spec = QuadratureSpec()
-    grid = build_grid(spec, 4.0, refine=2)
+    grid = build_grid(spec, d.support, refine=2)
     w = to_v_transform(d.jet(grid.nodes, 1), N, grid.nodes)
     v, dv = w.value(), w.derivative(1)
     inv_s2 = np.sinh(grid.nodes) ** -2.0

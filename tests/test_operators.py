@@ -17,6 +17,7 @@ from poincare_hardy.operators import (
 from poincare_hardy.quadrature import Grid, build_grid
 
 from _oracles import central_diff
+from test_quadrature import _full_rule
 
 
 def test_laplace_of_exponential_closed_form():
@@ -73,9 +74,9 @@ def test_to_v_transform_values_and_derivative():
 def test_gradk_sq_parity_dispatch():
     u, N = Bump(2.0, 1.0, 0), 5
     spec = QuadratureSpec()
-    grid = build_grid(spec, 4.0)
+    grid = build_grid(spec, u.support)
     table = radial_table(u, N, grid, 2)
-    r = grid.nodes[table.span]
+    r = grid.nodes
     np.testing.assert_allclose(gradk_sq_values(table, 0), u(r) ** 2, rtol=1e-13)
     np.testing.assert_allclose(gradk_sq_values(table, 1), u.jet(r, 1).derivative(1) ** 2, rtol=1e-13)
     np.testing.assert_allclose(
@@ -92,19 +93,19 @@ def test_gradk_sq_parity_dispatch():
 
 def test_radial_table_is_cached():
     u, spec = Bump(2.0, 1.0, 0), QuadratureSpec()
-    t1 = radial_table(u, 5, build_grid(spec, 4.0, 1), 1)
-    t2 = radial_table(u, 5, build_grid(spec, 4.0, 1), 1)
+    t1 = radial_table(u, 5, build_grid(spec, u.support, 1), 1)
+    t2 = radial_table(u, 5, build_grid(spec, u.support, 1), 1)
     assert t1 is t2
-    t3 = radial_table(u, 5, build_grid(spec, 4.0, 2), 1)
+    t3 = radial_table(u, 5, build_grid(spec, u.support, 2), 1)
     assert t3 is not t1
 
 
 def test_radial_table_levels_requested():
     u = Bump(2.0, 1.0, 0)
-    grid = build_grid(QuadratureSpec(), 4.0)
+    grid = build_grid(QuadratureSpec(), u.support)
     table = RadialTable(u, 5, grid, 2)
     assert table.levels == 2
-    r = grid.nodes[table.span]
+    r = grid.nodes
     want = laplace_of_jet(laplace_radial(u, 5, r, order=2), coth_jet(r, 2), 5).value()
     np.testing.assert_allclose(table.values(2), want, rtol=1e-11)
     # a deeper tower agrees on the shared levels
@@ -114,7 +115,7 @@ def test_radial_table_levels_requested():
 @pytest.mark.parametrize("u", [load_suite("origin")[0], load_suite("standard")[0]], ids=lambda u: u.id)
 def test_table_levels_do_not_depend_on_the_table_depth(u):
     # the verifier memoises integrals without the depth of the table they were read from
-    grid = build_grid(QuadratureSpec(), u.support[1] + 1.0, 1)
+    grid = build_grid(QuadratureSpec(), u.support, 1)
     for N in (1, 5, 9):
         shallow, deep = RadialTable(u, N, grid, 1), RadialTable(u, N, grid, 2)
         for level in range(2):
@@ -135,16 +136,15 @@ _SUPPORTED = [
 
 @pytest.mark.parametrize("u", _SUPPORTED, ids=lambda u: u.id)
 def test_jet_vanishes_outside_open_support(u):
-    # RadialTable and the integrals evaluate jets only on Grid.span(u.support):
-    # that is exact only if every coefficient is 0.0 at the nodes outside it
+    # a radial grid holds only the nodes strictly inside its support: that is exact
+    # only if every coefficient is 0.0 at the nodes of the full rule outside it
     lo, hi = u.support
     edges = [hi] + ([lo] if lo > 0 else [])  # the domain is r > 0: no node lies at or below 0
     points = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + edges
-    grid = build_grid(QuadratureSpec(panels=8, nodes_per_panel=16), hi + 1.0)
-    outside = np.ones(grid.nodes.size, dtype=bool)
-    outside[grid.span(u.support)] = False
+    nodes, _ = _full_rule(QuadratureSpec(panels=8, nodes_per_panel=16), hi + 1.0)
+    outside = (nodes <= lo) | (nodes >= hi)
     assert outside.any()
-    r = np.concatenate([points, grid.nodes[outside]])
+    r = np.concatenate([points, nodes[outside]])
     assert np.all(u.jet(r, 6).coef == 0.0)
 
 
@@ -161,23 +161,27 @@ def _uncached_tower(u, N, r, levels):
 @pytest.mark.parametrize("refine", [0, 2])
 @pytest.mark.parametrize("u", [load_suite("standard")[-1], load_suite("origin")[-1]], ids=lambda u: u.id)
 def test_radial_table_on_span_equals_full_grid_tower(u, refine):
+    # the table on the support's grid is the tower on the full rule, read inside the support
     N = 7
-    grid = build_grid(QuadratureSpec(), u.support[1] + 1.0, refine)
+    spec = QuadratureSpec()
+    grid = build_grid(spec, u.support, refine)
     table = RadialTable(u, N, grid, 2)
-    for level, jet in enumerate(_uncached_tower(u, N, grid.nodes, 2)):
-        assert np.array_equal(table.values(level), jet.value()[table.span])
-        assert np.array_equal(table.deriv(level), jet.derivative(1)[table.span])
+    nodes, _ = _full_rule(spec, u.support[1] + 1.0, refine)
+    inside = (nodes > u.support[0]) & (nodes < u.support[1])
+    for level, jet in enumerate(_uncached_tower(u, N, nodes, 2)):
+        assert np.array_equal(table.values(level), jet.value()[inside])
+        assert np.array_equal(table.deriv(level), jet.derivative(1)[inside])
 
 
 def test_tables_of_every_dimension_share_one_read_only_profile_jet():
     u = load_suite("origin")[-1]
-    grid = build_grid(QuadratureSpec(), u.support[1] + 1.0, 1)
+    grid = build_grid(QuadratureSpec(), u.support, 1)
     t5, t9 = RadialTable(u, 5, grid, 2), RadialTable(u, 9, grid, 2)
     # two levels need order 5: the top level is read only through its value and first derivative
     ujet, cj = _profile_jets(u, grid, 5)
     assert t5._tower[0] is t9._tower[0] is ujet
     for N, table in ((5, t5), (9, t9)):
-        for level, jet in enumerate(_uncached_tower(u, N, grid.nodes[table.span], 2)):
+        for level, jet in enumerate(_uncached_tower(u, N, grid.nodes, 2)):
             assert np.array_equal(table.values(level), jet.value())
             assert np.array_equal(table.deriv(level), jet.derivative(1))
     for jet in (ujet, cj):

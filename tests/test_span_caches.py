@@ -1,4 +1,4 @@
-"""The per-span cache of weights and measures and the per-grid term memo: same floats as the formulas, safe to share."""
+"""The per-grid cache of weights and measures and the per-grid term memo: same floats as the formulas, safe to share."""
 
 import gc
 
@@ -17,7 +17,7 @@ from poincare_hardy import (
 )
 from poincare_hardy import quadrature, verify
 from poincare_hardy.operators import gradk_sq_values, radial_table
-from poincare_hardy.quadrature import _span_weight, build_grid, measure_values, weight_values
+from poincare_hardy.quadrature import _grid_weight, build_grid, weight_values
 
 # every weight the verifier and the lemmas integrate against, at jet orders 0..2
 _INTEGRANDS = {
@@ -43,11 +43,11 @@ def test_cached_terms_equal_the_formulas_bit_for_bit(monkeypatch, suite, N):
     verify._integrals(u, N, spec, _INTEGRANDS)
     (fn,) = seen
     for refine in range(spec.max_doublings + 1):
-        grid = build_grid(spec, quadrature._support_r_max(u), refine)
+        grid = build_grid(spec, u.support, refine)
         table = radial_table(u, N, grid, 1)
-        r = grid.nodes[table.span]
+        r = grid.nodes
         expected = {
-            key: grid.integrate(gradk_sq_values(table, k) * weight_values(weight, r) * measure_values(r, N), table.span)
+            key: grid.integrate(gradk_sq_values(table, k) * weight_values(weight, r) * weight_values(f"sinh{N - 1}", r))
             for key, (k, weight) in _INTEGRANDS.items()
         }
         assert fn(grid) == expected
@@ -66,13 +66,12 @@ def test_lemmas_at_n1_read_no_measure(monkeypatch):
 
 
 def test_cached_arrays_are_read_only_and_bounded():
-    grid = build_grid(QuadratureSpec(), 4.0)
-    support = (1.0, 3.0)
-    for arr in (_span_weight(grid, support, "inv_r2"), _span_weight(grid, support, "sinh4")):
+    grid = build_grid(QuadratureSpec(), (1.0, 3.0))
+    for arr in (_grid_weight(grid, "inv_r2"), _grid_weight(grid, "sinh4")):
         assert arr.size and not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
-    assert 0 < _span_weight.cache_info().maxsize < 1000
+    assert 0 < _grid_weight.cache_info().maxsize < 1000
 
 
 def test_margins_do_not_depend_on_cache_order(clear_caches):
@@ -89,15 +88,15 @@ def test_measure_overflow_is_refused_on_every_call():
         with pytest.raises(QuadratureError, match="overflows"):
             margin_thm21(u, 5)
     # the measure is looked up before any weight, so no weight was built, and the refusal stored no term
-    assert _span_weight.cache_info().currsize == 0
-    grid = build_grid(QuadratureSpec(), quadrature._support_r_max(u))
+    assert _grid_weight.cache_info().currsize == 0
+    grid = build_grid(QuadratureSpec(), u.support)
     assert quadrature._cached_grid.cache_info().currsize == 1
     assert grid._terms == {}
     # read directly, the measure refuses on every call too and is never stored
     for _ in range(2):
         with pytest.raises(QuadratureError, match="overflows"):
-            _span_weight(grid, u.support, "sinh4")
-    assert _span_weight.cache_info().currsize == 0
+            _grid_weight(grid, "sinh4")
+    assert _grid_weight.cache_info().currsize == 0
 
 
 # four families whose tables share terms: rellich and general (2, 0) are one table under two names
