@@ -3,19 +3,30 @@
 Integrals have the shape ``int_lo^hi g(r) w(r) mu(r) dr`` with a smooth
 ``g`` supported in [lo, hi], a possibly singular weight ``w`` (powers of 1/r or
 1/sinh r), and the measure ``mu`` (sinh^{N-1} r for ambient hyperbolic
-integrals, 1 for the reduced one-dimensional ones).  Panels are placed
-geometrically toward the origin so the 1/r^{2j} weights meet enough nodes
-where they are large; convergence is certified by doubling the panel count
-and comparing.  The panel rule, the doubling loop, the spec (which the plane
-spec subclasses) and the Chebyshev sampler here are shared with the
-half-space tensor grid.
+integrals, 1 for the reduced one-dimensional ones).  Convergence is certified
+by doubling the panel count and comparing.  The panel rule, the doubling
+loop, the spec (which the plane spec subclasses) and the Chebyshev sampler
+here are shared with the half-space tensor grid.
 
-So a radial grid belongs to one support (lo, hi): ``_cached_grid`` lays the
-composite rule out on (0, hi + 1] and keeps only the nodes strictly inside
-(lo, hi), with their weights; it refuses a profile with no compact support.
-Outside the support every jet coefficient of ``g`` is exactly 0, so the
-dropped nodes would add nothing but zeros, and callers evaluate their
-integrands on ``grid.nodes`` as they are.
+So a radial grid belongs to one support (lo, hi), and ``_cached_grid`` is the
+one home of its layout; it refuses a profile with no compact support and any
+support without 0 <= lo < hi < inf.
+
+* A support that reaches the origin, (0, hi), gets equal panels on [0, hi].
+  Under the paper's hypotheses (N > 2k, and N > beta + 4 for the weighted
+  step) every weight 1/r^{2j} and 1/sinh^4 r times sinh^{N-1} r stays bounded
+  at r = 0, so every certified integrand is smooth up to the origin and the
+  plain composite rule converges spectrally.  (The 1-D lemma integrals, at
+  N = 1, are finite only for a u that vanishes at 0 to matching order, and
+  are then smooth as well.)
+* A support with lo > 0 gets the rule on (0, hi + 1] whose first panel break
+  sits at ``1e-6 * (hi + 1)`` and whose breaks grow geometrically from there,
+  cut down to the nodes strictly inside (lo, hi) with their weights.  Outside
+  the support every jet coefficient of ``g`` is exactly 0, so the dropped
+  nodes would add nothing but zeros.
+
+Either way every node lies strictly inside the support, and callers evaluate
+their integrands on ``grid.nodes`` as they are.
 
 The weights and the measure on a grid do not depend on ``g``, so every
 radial grid integral (the verifier, the 1-D lemmas and the identities) reads
@@ -59,9 +70,10 @@ __all__ = [
 class QuadratureSpec:
     """Integration policy for radial integrals over a support (lo, hi).
 
-    The panels cover (0, r_max] with r_max = hi + 1 (see ``_cached_grid``).
-    The first panel break sits at ``1e-6 * r_max`` and breaks
-    grow geometrically from there.
+    A grid has ``panels * 2**refine`` panels (see ``_cached_grid``): equal
+    ones on [0, hi] when lo = 0.  When lo > 0 they cover (0, r_max] with
+    r_max = hi + 1, the first break sits at ``1e-6 * r_max`` and breaks grow
+    geometrically from there; only the nodes inside (lo, hi) are kept.
     """
 
     abs_tol: ClassVar[float] = 1e-30
@@ -111,7 +123,7 @@ def _panel_rule(breaks: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, n
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
 
 
-# width of the first panel of a radial grid, relative to r_max
+# width of the first panel of a radial grid on a support with lo > 0, relative to r_max
 _MIN_BREAK_FRACTION = 1e-6
 
 
@@ -120,10 +132,13 @@ def _cached_grid(spec: QuadratureSpec, support: tuple[float, float], refine: int
     if support is None:
         raise ValueError("integral checks need a compactly supported profile")
     lo, hi = support
-    r_max = hi + 1.0
-    if not 0 < r_max < np.inf:
-        raise QuadratureError(f"r_max must be positive and finite, got {r_max}")
+    if not 0 <= lo < hi < np.inf:
+        raise QuadratureError(f"a support (lo, hi) needs 0 <= lo < hi < inf, got {support}")
     panels = spec.panels * (1 << refine)
+    if lo == 0:
+        # every certified integrand is smooth up to r = 0, so equal panels converge spectrally
+        return Grid(*_panel_rule(np.linspace(0.0, hi, panels + 1), spec.nodes_per_panel))
+    r_max = hi + 1.0
     if panels == 1:
         breaks = np.array([0.0, r_max])
     else:
@@ -137,7 +152,8 @@ def _cached_grid(spec: QuadratureSpec, support: tuple[float, float], refine: int
 
 
 def build_grid(spec: QuadratureSpec, support: tuple[float, float], refine: int = 0) -> Grid:
-    """The composite rule on (0, hi + 1], cut down to the nodes strictly inside ``support`` = (lo, hi)."""
+    """The composite rule of ``support`` = (lo, hi): equal panels on [0, hi] if lo = 0, else the
+    graded rule on (0, hi + 1] cut down to the nodes strictly inside (lo, hi)."""
     return _cached_grid(spec, support, refine)
 
 

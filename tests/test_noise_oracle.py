@@ -44,12 +44,15 @@ WEIGHTS = {
     "inv_sinh4": lambda r: mpmath.sinh(r) ** -4,
 }
 
-# (bump, N, spec): standard and origin members; the last one exhausts its doubling budget
+# (bump, N, spec): standard members, on the graded rule, and origin members (center = width),
+# on equal panels over [0, hi]; (3.5, 1.0, 2) exhausts its doubling budget
 MEMBERS = [
     (Bump(1.0, 0.9, 0), 5, QuadratureSpec()),
     (Bump(0.5, 0.5, 2), 5, QuadratureSpec()),
     (Bump(1.5, 0.5, 3), 9, QuadratureSpec()),
     (Bump(3.5, 1.0, 2), 5, QuadratureSpec(max_doublings=1)),
+    (Bump(2.0, 2.0, 2), 9, QuadratureSpec()),
+    (Bump(0.6, 0.6, 1), 7, QuadratureSpec()),
 ]
 
 

@@ -17,7 +17,7 @@ from poincare_hardy.operators import (
 from poincare_hardy.quadrature import Grid, build_grid
 
 from _oracles import central_diff
-from test_quadrature import _full_rule
+from test_quadrature import _full_rule, _graded_rule
 
 
 def test_laplace_of_exponential_closed_form():
@@ -137,11 +137,12 @@ _SUPPORTED = [
 @pytest.mark.parametrize("u", _SUPPORTED, ids=lambda u: u.id)
 def test_jet_vanishes_outside_open_support(u):
     # a radial grid holds only the nodes strictly inside its support: that is exact
-    # only if every coefficient is 0.0 at the nodes of the full rule outside it
+    # only if every coefficient is 0.0 outside it; the graded rule on (0, hi + 1]
+    # samples both sides of the support, whichever layout its grid gets
     lo, hi = u.support
     edges = [hi] + ([lo] if lo > 0 else [])  # the domain is r > 0: no node lies at or below 0
     points = [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)] + edges
-    nodes, _ = _full_rule(QuadratureSpec(panels=8, nodes_per_panel=16), hi + 1.0)
+    nodes, _ = _graded_rule(QuadratureSpec(panels=8, nodes_per_panel=16), hi + 1.0)
     outside = (nodes <= lo) | (nodes >= hi)
     assert outside.any()
     r = np.concatenate([points, nodes[outside]])
@@ -166,7 +167,7 @@ def test_radial_table_on_span_equals_full_grid_tower(u, refine):
     spec = QuadratureSpec()
     grid = build_grid(spec, u.support, refine)
     table = RadialTable(u, N, grid, 2)
-    nodes, _ = _full_rule(spec, u.support[1] + 1.0, refine)
+    nodes, _ = _full_rule(spec, u.support, refine)
     inside = (nodes > u.support[0]) & (nodes < u.support[1])
     for level, jet in enumerate(_uncached_tower(u, N, nodes, 2)):
         assert np.array_equal(table.values(level), jet.value()[inside])

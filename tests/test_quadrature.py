@@ -16,20 +16,45 @@ from poincare_hardy.quadrature import (
 from _oracles import EXP4_SINH2, bump_values, trapezoid_radial
 
 
-def _full_rule(spec, r_max, refine=0):
-    """The whole composite rule on (0, r_max]: breaks geometric from _MIN_BREAK_FRACTION * r_max up to r_max."""
+def _graded_rule(spec, r_max, refine=0):
+    """The composite rule on (0, r_max]: breaks geometric from _MIN_BREAK_FRACTION * r_max up to r_max."""
     panels = spec.panels * 2**refine
     ratio = _MIN_BREAK_FRACTION ** (1.0 / (panels - 1))
     return _panel_rule(np.concatenate(([0.0], r_max * ratio ** np.arange(panels - 1, -1, -1.0))), spec.nodes_per_panel)
 
 
+def _full_rule(spec, support, refine=0):
+    """The whole rule a support's grid is cut from: equal panels on [0, hi] if lo = 0, else graded on (0, hi + 1]."""
+    lo, hi = support
+    if lo == 0:
+        return _panel_rule(np.linspace(0.0, hi, spec.panels * 2**refine + 1), spec.nodes_per_panel)
+    return _graded_rule(spec, hi + 1.0, refine)
+
+
 def test_grid_layout():
     spec = QuadratureSpec(panels=16, nodes_per_panel=8)
-    grid = build_grid(spec, (0.0, 4.0))  # the rule on (0, 5], cut at 4
+    # a support that reaches the origin: 16 equal panels on [0, 4]
+    grid = build_grid(spec, (0.0, 4.0))
     r, w = grid.nodes, grid.weights
+    assert r.size == 16 * 8
     assert np.all(np.diff(r) > 0)
     assert r[0] > 0.0 and r[-1] < 4.0
     assert np.all(w > 0.0)
+    # each panel holds 8 nodes and integrates 1 exactly over its width
+    panels = r.reshape(16, 8)
+    assert np.all((panels > 0.25 * np.arange(16)[:, None]) & (panels < 0.25 * np.arange(1, 17)[:, None]))
+    np.testing.assert_allclose(w.reshape(16, 8).sum(axis=1), 0.25, rtol=0, atol=1e-15)
+
+
+def test_grid_layout_away_from_the_origin():
+    spec = QuadratureSpec(panels=16, nodes_per_panel=8)
+    support = (1e-9, 4.0)  # the graded rule on (0, 5], cut to (1e-9, 4)
+    grid = build_grid(spec, support)
+    r, w = grid.nodes, grid.weights
+    nodes, weights = _full_rule(spec, support)
+    inside = (nodes > support[0]) & (nodes < support[1])
+    assert np.array_equal(r, nodes[inside]) and np.array_equal(w, weights[inside])
+    assert np.all(np.diff(r) > 0) and np.all(w > 0.0)
     # 15 whole panels lie below the last inner break, and each integrates 1 exactly
     inner = 5.0 * _MIN_BREAK_FRACTION ** (1.0 / 15)
     whole = r < inner
@@ -41,7 +66,7 @@ def test_grid_layout():
 
 def test_grid_span_is_strictly_inside_support():
     spec = QuadratureSpec(panels=16, nodes_per_panel=8)
-    base = build_grid(spec, (0.0, 3.0))
+    base = build_grid(spec, (0.5, 3.0))
     r = base.nodes
     # a support edge that sits exactly on a node leaves that node out
     edge = build_grid(spec, (r[10], 3.0))
@@ -58,7 +83,7 @@ def test_support_grid_integral_matches_full_rule(u):
     spec = QuadratureSpec()
     for refine in (0, 1, 2):
         grid = build_grid(spec, u.support, refine)
-        nodes, weights = _full_rule(spec, hi + 1.0, refine)
+        nodes, weights = _full_rule(spec, u.support, refine)
         # the grid is the run of the full rule strictly inside the support, node for node
         inside = (nodes > lo) & (nodes < hi)
         assert np.array_equal(grid.nodes, nodes[inside]) and np.array_equal(grid.weights, weights[inside])
@@ -94,10 +119,13 @@ def test_grid_requires_domain():
         build_grid(QuadratureSpec())
     with pytest.raises(ValueError, match="compactly supported"):
         build_grid(QuadratureSpec(), None)
-    # the rule covers (0, hi + 1]
-    for hi in (-2.0, -1.0, float("nan"), float("inf")):
+    # a support needs 0 <= lo < hi < inf, on either layout
+    for hi in (-2.0, -1.0, -0.5, 0.0, float("nan"), float("inf")):
         with pytest.raises(QuadratureError):
             build_grid(QuadratureSpec(), (0.0, hi))
+    for support in ((-1.0, 2.0), (2.0, 1.0), (1.0, 1.0), (float("nan"), 2.0), (1.0, float("inf"))):
+        with pytest.raises(QuadratureError):
+            build_grid(QuadratureSpec(), support)
 
 
 def test_spec_validation():

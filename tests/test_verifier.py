@@ -22,6 +22,8 @@ from poincare_hardy import (
     sharpness_probe,
 )
 
+from poincare_hardy import verify
+from poincare_hardy.quadrature import converge_terms
 from poincare_hardy.reports import MarginReport, ordered_sum
 
 from _oracles import SHARPNESS_A21_N5
@@ -168,6 +170,38 @@ def test_noise_tracks_doubling_budget():
     tight = margin_general(CaseSpec(3, 1, N), u, QuadratureSpec(max_doublings=4))
     assert tight.noise < loose.noise
     assert abs(tight.margin - loose.margin) <= loose.noise * 4.0
+
+
+def _origin_margins(u, spec):
+    """thm21, rellich and every general (k, l) with k <= 4 on u, for N 5..12 where N > 2k."""
+    for N in range(5, 13):
+        yield margin_thm21(u, N, spec)
+        yield margin_rellich(u, N, spec)
+        for k in range(1, 5):
+            for l in range(k):
+                if N > 2 * k:
+                    yield margin_general(CaseSpec(k, l, N), u, spec)
+
+
+@pytest.mark.parametrize("u", load_suite("origin"), ids=lambda u: u.id)
+def test_origin_supports_converge_after_one_doubling(u, monkeypatch):
+    # equal panels on [0, hi] resolve a support that reaches r = 0: every integral
+    # loop meets rel_tol * scale at the first doubling, so none exhausts a budget of 1
+    spec = QuadratureSpec(max_doublings=1)
+    loops = []
+
+    def recorded(fn, spec, support):
+        values, errors = converge_terms(fn, spec, support)
+        loops.append((values, errors))
+        return values, errors
+
+    monkeypatch.setattr(verify, "converge_terms", recorded)
+    reports = list(_origin_margins(u, spec))
+    # thm21 and rellich at 8 N each, general (k, l) k times at the N > 2k: 16 + 8 + 16 + 18 + 16
+    assert len(loops) == len(reports) == 74
+    for values, errors in loops:
+        scale = max(abs(v) for v in values.values())
+        assert all(e <= spec.rel_tol * scale + spec.abs_tol for e in errors.values()), errors
 
 
 @settings(max_examples=25, deadline=None)
