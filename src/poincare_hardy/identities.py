@@ -27,7 +27,7 @@ from .errors import HypothesisError
 from .jets import coth, coth_jet
 from .profiles import RadialProfile
 from .operators import _profile_jets, laplace_of_jet, to_v_transform
-from .quadrature import QuadratureSpec, _chebyshev, _grid_weight, converge_terms
+from .quadrature import QuadratureSpec, _chebyshev, converge_terms
 from .reports import IdentityResidualReport, MarginReport, ordered_sum
 from .verify import _coefficients, _integrals
 
@@ -93,26 +93,24 @@ def check_trans1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidu
     return IdentityResidualReport.from_sides("trans1", u.id, N, None, lhs, rhs, tol)
 
 
-# The raw family {key: integrand(t)}: t carries v, dv = v', ddv = v'', coth r
-# and the ``_WEIGHTS`` by their ``weight_values`` names, the values the verifier
-# integrates.  The first seven keys are the ``_LEMMAS`` terms, which the slacks read over v.
-_WEIGHTS = ("inv_r2", "inv_r4", "inv_sinh2", "inv_sinh4")
+# The raw family {key: (integrand(t), weight)}: t carries v, dv = v', ddv = v'' and coth r, as the verifier
+# integrates them.  The first seven keys are the ``_LEMMAS`` terms, which the slacks read over v.
 _RAW = {
-    "grad_sinh2": lambda t: t.dv**2 * t.inv_sinh2,
-    "sinh4": lambda t: t.v**2 * t.inv_sinh4,
-    "sinh2": lambda t: t.v**2 * t.inv_sinh2,
-    "grad": lambda t: t.dv**2,
-    "r2": lambda t: t.v**2 * t.inv_r2,
-    "lap2": lambda t: t.ddv**2,
-    "r4": lambda t: t.v**2 * t.inv_r4,
-    "v2": lambda t: t.v**2,
-    "c_v_dv": lambda t: t.coth * t.v * t.dv,
-    "c2_v2": lambda t: t.coth**2 * t.v**2,
-    "ddv_c2v": lambda t: t.ddv * t.coth**2 * t.v,
-    "ddv_v": lambda t: t.ddv * t.v,
-    "ddv_v_s2": lambda t: t.ddv * t.v * t.inv_sinh2,
-    "c2_v2_s2": lambda t: t.coth**2 * t.v**2 * t.inv_sinh2,
-    "c4_v2": lambda t: t.coth**4 * t.v**2,
+    "grad_sinh2": (lambda t: t.dv**2, "inv_sinh2"),
+    "sinh4": (lambda t: t.v**2, "inv_sinh4"),
+    "sinh2": (lambda t: t.v**2, "inv_sinh2"),
+    "grad": (lambda t: t.dv**2, "one"),
+    "r2": (lambda t: t.v**2, "inv_r2"),
+    "lap2": (lambda t: t.ddv**2, "one"),
+    "r4": (lambda t: t.v**2, "inv_r4"),
+    "v2": (lambda t: t.v**2, "one"),
+    "c_v_dv": (lambda t: t.coth * t.v * t.dv, "one"),
+    "c2_v2": (lambda t: t.coth**2 * t.v**2, "one"),
+    "ddv_c2v": (lambda t: t.ddv * t.coth**2 * t.v, "one"),
+    "ddv_v": (lambda t: t.ddv * t.v, "one"),
+    "ddv_v_s2": (lambda t: t.ddv * t.v, "inv_sinh2"),
+    "c2_v2_s2": (lambda t: t.coth**2 * t.v**2, "inv_sinh2"),
+    "c4_v2": (lambda t: t.coth**4 * t.v**2, "one"),
 }
 
 # {case: {term: (k, weight, coef)}}: verifier tables at N = 1, where the measure is dr and the Laplacian u''
@@ -131,11 +129,10 @@ def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
     @np.errstate(over="ignore", invalid="ignore")  # as in check_ph1
     def terms(grid):
         if (d, N) not in grid._terms:
-            r = grid.nodes
-            v = to_v_transform(_profile_jets(d, grid, 2)[0], N, r)
-            weights = {name: _grid_weight(grid, name) for name in _WEIGHTS}
-            t = SimpleNamespace(v=v.value(), dv=v.derivative(1), ddv=v.derivative(2), coth=coth(r), **weights)
-            grid._terms[d, N] = {key: grid.integrate(integrand(t)) for key, integrand in _RAW.items()}
+            djet, cjet = _profile_jets(d, grid, 2)  # cjet.value() is coth(grid.nodes)
+            v = to_v_transform(djet, N, grid.nodes)
+            t = SimpleNamespace(v=v.value(), dv=v.derivative(1), ddv=v.derivative(2), coth=cjet.value())
+            grid._terms[d, N] = {key: grid.integrate(integrand(t), weight) for key, (integrand, weight) in _RAW.items()}
         return grid._terms[d, N]
 
     return converge_terms(terms, spec, d.support)
@@ -146,7 +143,7 @@ def _combine(vals: dict, coef: dict) -> float:
     return ordered_sum(float(c) * vals[key] for key, c in coef.items())
 
 
-def _estimate1_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
+def _estimate1_tables(n: int, N: int) -> tuple[F, dict, dict]:
     lam = lambda_n(n, N)
     a = (N - 1) * (N - 3)
     al = F(a, 4)
@@ -173,10 +170,10 @@ def _estimate1_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
         "sinh4": lam * lam + (F(a, 2) - 6) * lam + F(a * (a - 24), 16),
         "sinh2": F((a + 2 * N - 10) * (a + 4 * lam), 8),
     }
-    return _combine(vals, lhs), _combine(vals, rhs)
+    return F(1), lhs, rhs
 
 
-def _estimate2_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
+def _estimate2_tables(n: int, N: int) -> tuple[F, dict, dict]:
     lam = lambda_n(n, N)
     be2 = F((N - 1) ** 2, 4)
     lhs = {"grad": 1, "sinh2": lam, "c2_v2": be2, "c_v_dv": -(N - 1)}
@@ -185,14 +182,19 @@ def _estimate2_sides(vals: dict, n: int, N: int) -> tuple[float, float]:
         "v2": F((N - 1) ** 4, 16),
         "sinh2": be2 * lam + F((N - 1) ** 3 * (N - 3), 16),
     }
-    # the common factor stays outside the sum, as in the statement
-    return float(be2) * _combine(vals, lhs), _combine(vals, rhs)
+    return be2, lhs, rhs
 
 
-def _check_estimate(sides, which, d, n, N, spec, tol) -> IdentityResidualReport:
+def _sides(tables, vals: dict, n: int, N: int) -> tuple[float, float]:
+    """``factor * sum(lhs)``, the factor outside as in the statement, and ``sum(rhs)`` of ``tables(n, N)``."""
+    factor, lhs, rhs = tables(n, N)
+    return float(factor) * _combine(vals, lhs), _combine(vals, rhs)
+
+
+def _check_estimate(tables, which, d, n, N, spec, tol) -> IdentityResidualReport:
     _require_dimension(N)
     vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec())
-    lhs, rhs = sides(vals, n, N)
+    lhs, rhs = _sides(tables, vals, n, N)
     return IdentityResidualReport.from_sides(which, d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})
 
 
@@ -204,7 +206,7 @@ def check_estimate1(
     int (v'' - ((N-1)(N-3)/4) coth^2 v - ((N-1)/2) v - lambda_n v/sinh^2)^2 dr
     equals the six-term right-hand side produced by integrating by parts.
     """
-    return _check_estimate(_estimate1_sides, "estimate1", d, n, N, spec, tol)
+    return _check_estimate(_estimate1_tables, "estimate1", d, n, N, spec, tol)
 
 
 def check_estimate2(
@@ -217,10 +219,10 @@ def check_estimate2(
     to ((N-1)/2)^2 int (v')^2 + ((N-1)^4/16) int v^2
     + (((N-1)^2/4) lambda_n + (N-1)^3 (N-3)/16) int v^2/sinh^2.
     """
-    return _check_estimate(_estimate2_sides, "estimate2", d, n, N, spec, tol)
+    return _check_estimate(_estimate2_tables, "estimate2", d, n, N, spec, tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # sinh and cosh overflow past r = 710; the weights then read 0
+@np.errstate(over="ignore")  # sinh overflows past r = 710; the 1/sinh weights then read 0
 def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> list[MarginReport]:
     """The three one-dimensional lemmas on (0, infinity) with measure dr.
 
@@ -244,7 +246,7 @@ def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | N
     quadrature noise only.
     """
     vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec())
-    margin_direct = _estimate1_sides(vals, 0, N)[0] - _estimate2_sides(vals, 0, N)[0]
+    margin_direct = _sides(_estimate1_tables, vals, 0, N)[0] - _sides(_estimate2_tables, vals, 0, N)[0]
     c = thm21_constants(N)
     pieces = {key: float(c[f"c_{key}"]) * vals[key] for key in ("r4", "r2", "sinh4", "sinh2")}
     hardy = poincare_constant(CaseSpec(2, 1, N))

@@ -41,7 +41,7 @@ def laplace_of_jet(ujet: Jet, coth_full: Jet, N: int) -> Jet:
     if q < 0:
         raise ValueError("need jet order >= 2 to apply the Laplacian")
     second = ujet.shift().shift()
-    if N == 1:  # the Laplacian on (0, infinity) under dr: coth, nan past r = 710, is not read
+    if N == 1:  # the Laplacian on (0, infinity) under dr: no coth term
         return second
     return second + coth_full.truncate(q) * ujet.shift().truncate(q) * float(N - 1)
 

@@ -28,17 +28,17 @@ support without 0 <= lo < hi < inf.
 Either way every node lies strictly inside the support, and callers evaluate
 their integrands on ``grid.nodes`` as they are.
 
-The weights and the measure on a grid do not depend on ``g``, so every
-radial grid integral (the verifier, the 1-D lemmas and the identities) reads
-them from one private cache of named factors, built once per grid:
-``_grid_weight`` keyed on (grid, name), the measure being the name
-"sinh<N-1>".  A grid hashes by identity.  The cached arrays are the very
-arrays ``weight_values`` returns, made read-only, and callers keep the
-product order ``(g * w) * mu``: every float is the one an uncached
-evaluation gives.  The cache is bounded: at most 34 arrays, each no longer
-than its grid, so under 9 MB on the finest default grid.  The refusal of an
-overflowing measure is an exception, which ``lru_cache`` never stores, so it
-repeats on every call.
+``Grid.integrate(g, w, N)`` is the one place where an integrand meets its
+weight and measure.  They do not depend on ``g``, so it reads them from one
+private cache of named factors, built once per grid: ``_grid_weight`` keyed
+on (grid, name), the measure being the name "sinh<N-1>" (none at N = 1).  A
+grid hashes by identity.  The cached arrays are the very arrays
+``weight_values`` returns, made read-only, and the product order is
+``(g * w) * mu``: every float is the one an uncached evaluation gives.  The
+cache is bounded: at most 34 arrays, each no longer than its grid, so under
+9 MB on the finest default grid.  The measure is read first, and its refusal
+to overflow is an exception, which ``lru_cache`` never stores: it builds no
+weight and repeats on every call.
 
 Each ``Grid`` also carries a memo of the integrals finished on it (``_terms``;
 see ``Grid``).  It lives on the grid rather than in a module-level table
@@ -105,8 +105,13 @@ class Grid:
         self.weights = weights
         self._terms = {}
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Weighted sum of ``values`` given on the nodes."""
+    def integrate(self, values: np.ndarray, weight: str = "one", N: int = 1) -> float:
+        """Weighted sum of ``(values * weight) * sinh^{N-1} r`` given on the nodes (see the module docstring)."""
+        mu = None if N == 1 else _grid_weight(self, f"sinh{N - 1}")  # sinh^0 r = 1, and x * 1.0 == x
+        if weight != "one":  # no ones array: it would raise peak memory for nothing
+            values = values * _grid_weight(self, weight)
+        if mu is not None:
+            values = values * mu
         return float(np.dot(values, self.weights))
 
 

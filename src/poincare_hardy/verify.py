@@ -22,9 +22,9 @@ order and no tower depth: coefficient j of a jet is the same float whatever
 the jet's order, so a level's value and slope, and every integral read from
 them, are the same whatever depth the table was built with.  A term is
 stored only once every term of its evaluation is in, so a refused measure
-(the factor "sinh<N-1>" of ``quadrature._grid_weight``) leaves nothing
-behind.  The memo lives on the grid, so it is bounded by the grid cache and
-dies with the grid; the identities' raw v-family shares it under (d, N).
+(see ``quadrature.Grid.integrate``) leaves nothing behind.  The memo lives on
+the grid, so it is bounded by the grid cache and dies with the grid; the
+identities' raw v-family shares it under (d, N).
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .constants import (
 from .errors import HypothesisError
 from .profiles import Bump, Cutoff, RadialProfile
 from .operators import gradk_sq_values, radial_table
-from .quadrature import QuadratureSpec, _grid_weight, converge_terms, log_sinh
+from .quadrature import QuadratureSpec, converge_terms, log_sinh
 from .reports import MarginReport
 
 __all__ = [
@@ -68,19 +68,7 @@ def _integrals(u, N, spec, integrands):
         missing = dict.fromkeys(term for term in terms.values() if term not in memo)
         if missing:
             table = radial_table(u, N, grid, levels)
-            # the measure first, so its overflow refusal comes before any weight; at N = 1 it is
-            # sinh^0 r = 1, and x * 1.0 == x, so it is left out
-            mu = None if N == 1 else _grid_weight(grid, f"sinh{N - 1}")
-            new = {}
-            for term in missing:
-                _, _, k, weight = term
-                values = gradk_sq_values(table, k)
-                if weight != "one":  # no ones array: it would raise peak memory for nothing
-                    values = values * _grid_weight(grid, weight)
-                if mu is not None:
-                    values = values * mu
-                new[term] = grid.integrate(values)
-            memo.update(new)  # only once every term is in: a refusal stores nothing
+            memo.update({(u, N, k, w): grid.integrate(gradk_sq_values(table, k), w, N) for _, _, k, w in missing})
         return {key: memo[term] for key, term in terms.items()}
 
     return converge_terms(fn, spec, u.support)

@@ -271,6 +271,14 @@ def test_sharpness_bump_missing_every_node_exits_64(capsys):
         assert err == "error: thm21_r2: bump_c1000000000000000.0_w1.0_p0 vanishes on the quadrature grid\n"
 
 
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_sharpness_bump_past_measure_overflow_exits_2_quietly(capsys, fmt):
+    # nodes near r = 1000 overflow cosh and sinh; only the measure's refusal may speak
+    code, out, err = run(["sharpness", "--case", "thm21_r2", "--params=1000", "--format", fmt], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("numerical failure: sinh^4 overflows") and err.count("\n") == 1
+
+
 def test_verify_json_deterministic_and_round_trips(capsys):
     argv = ["verify", "--case", "poincare", "--N", "5", "--format", "json"]
     code1, out1, _ = run(argv, capsys)

@@ -3,23 +3,31 @@
 ``chain_replay`` builds the remainder chain by replaying the cascade;
 ``case_leading_constants`` gives its endpoints in closed form.  For every
 l < k <= 10 they agree for every N, not only at the dimensions sampled
-elsewhere, and the mode coefficients of ``anbn`` are smallest at n = 0.
+elsewhere, and the mode coefficients of ``anbn`` are smallest at n = 0, for every
+N >= 5, because their lambda-coefficients are positive there.
 """
 
 from fractions import Fraction as F
 
 import pytest
 
-from poincare_hardy import CaseSpec, anbn, case_leading_constants, chain_replay
+from poincare_hardy import CaseSpec, anbn, case_leading_constants, chain_replay, lambda_n
 
 CASES = [(k, l) for k in range(1, 11) for l in range(k)]
 
 
+def _newton_differences(values: list[F]) -> list[F]:
+    """values[0] and its forward differences of every order, at consecutive integers."""
+    out = []
+    while values:
+        out.append(values[0])
+        values = [b - a for a, b in zip(values, values[1:])]
+    return out
+
+
 def _forward_difference(values: list[F]) -> F:
     """The highest forward difference of values at consecutive integers."""
-    while len(values) > 1:
-        values = [b - a for a, b in zip(values, values[1:])]
-    return values[0]
+    return _newton_differences(values)[-1]
 
 
 @pytest.mark.parametrize("k, l", CASES, ids=[f"k{k}_l{l}" for k, l in CASES])
@@ -53,3 +61,59 @@ def test_anbn_increase_with_the_mode():
         for n in range(11):
             (a0, b0), (a1, b1) = anbn(n, N), anbn(n + 1, N)
             assert a1 > a0 and b1 > b0, (n, N)
+
+
+def _lambda_coefficients(mode_coefficients, N: int) -> list[F]:
+    """[A's lambda^2, A's lambda, B's lambda^2, B's lambda] coefficients at N, read from the modes n = 0, 1, 2.
+
+    A_n and B_n are polynomials of degree at most 2 in lambda_n, so the three
+    distinct eigenvalues lambda_0 = 0 < lambda_1 < lambda_2 fix them: Newton's
+    divided differences give the coefficients.  The modes n = 3, 4 must agree.
+    """
+    lam = [lambda_n(n, N) for n in range(5)]
+    out = []
+    for f in zip(*(mode_coefficients(n, N) for n in range(5))):
+        d01 = (f[1] - f[0]) / (lam[1] - lam[0])
+        d12 = (f[2] - f[1]) / (lam[2] - lam[1])
+        c2 = (d12 - d01) / (lam[2] - lam[0])
+        c1 = d01 - c2 * (lam[0] + lam[1])
+        assert all(f[n] == f[0] + c1 * lam[n] + c2 * lam[n] ** 2 for n in (3, 4)), N
+        out += [c2, c1]
+    return out
+
+
+def _lambda_coefficients_positive_for_every_N(mode_coefficients) -> bool:
+    """Whether A's two lambda-coefficients and B's lambda-coefficient are positive, and B's lambda^2 one is not
+    negative, at every integer N >= 5.
+
+    Each is a polynomial in N of degree at most 2, as ``anbn`` writes it (1,
+    N(N-4)/2, 0 and (N^2-2N-5)/4).  Over the four dimensions N = 5..8 its
+    third forward difference vanishes, which checks that bound, so by Newton's
+    forward formula p(5 + m) = p(5) + m Dp(5) + C(m, 2) D^2 p(5) for every
+    integer m >= 0.  Binomial coefficients of such m are nonnegative, so
+    p(5) > 0 with D p(5), D^2 p(5) >= 0 makes p positive for every N >= 5.
+    """
+    columns = zip(*(_lambda_coefficients(mode_coefficients, N) for N in range(5, 9)))
+    verdicts = []
+    for strict, column in zip((True, True, False, True), columns):
+        p5, dp5, d2p5, d3p5 = _newton_differences(list(column))
+        assert d3p5 == 0, "a lambda-coefficient has degree above 2 in N"
+        verdicts.append((p5 > 0 if strict else p5 >= 0) and dp5 >= 0 and d2p5 >= 0)
+    return all(verdicts)
+
+
+def test_anbn_lambda_coefficients_are_positive_for_every_N():
+    assert _lambda_coefficients_positive_for_every_N(anbn)
+    # A's lambda^2 coefficient is 1, B is affine in lambda, as the docstring says
+    assert [_lambda_coefficients(anbn, N)[::2] for N in (5, 41)] == [[1, 0], [1, 0]]
+
+
+def test_a_lambda_coefficient_negative_only_past_N_46_is_caught():
+    # B's lambda-coefficient minus (3/10)(N-5)^2 stays positive for N = 5..46: sampling N <= 40 would miss it
+    def bent(n, N):
+        A, B = anbn(n, N)
+        return A, B - F(3, 10) * (N - 5) ** 2 * lambda_n(n, N)
+
+    assert all(_lambda_coefficients(bent, N)[3] > 0 for N in range(5, 47))
+    assert _lambda_coefficients(bent, 47)[3] < 0
+    assert not _lambda_coefficients_positive_for_every_N(bent)

@@ -193,7 +193,7 @@ def test_1d_lemmas_need_compact_support():
 
 
 def test_1d_lemmas_on_a_support_past_coth_overflow():
-    # coth's jet is nan past r = 710; at N = 1 the Laplacian is u'' and reads no coth
+    # cosh and sinh overflow past r = 710; at N = 1 the Laplacian is u'' and reads no coth
     reports = check_1d_lemmas(Bump(400.0, 330.0))
     assert [r.case for r in reports] == ["hardy1d_sinh", "hardy1d_hardy", "hardy1d_rellich"]
     assert all(r.verdict for r in reports)

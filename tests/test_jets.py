@@ -139,6 +139,29 @@ def test_coth_jet_past_sinh_squared_overflow_warns_nothing():
     np.testing.assert_array_equal(jet.value(), 1.0)
 
 
+@pytest.mark.parametrize("r", [711.0, 1e3, 1e5, 1e15])
+def test_coth_past_cosh_overflow_is_one_and_warns_nothing(r):
+    # cosh and sinh overflow past r = 710, so cosh/sinh alone would be inf/inf = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = coth(np.array([r, -r]))
+        jet = coth_jet(np.array([r]), 6)
+    np.testing.assert_array_equal(values, [1.0, -1.0])
+    assert np.all(np.isfinite(jet.coef))
+    assert jet.value()[0] == 1.0
+    # y_1 = -(1/sinh r)^2 is the -0.0 it rounds to
+    assert jet.coef[1, 0] == 0.0 and np.signbit(jet.coef[1, 0])
+
+
+def test_coth_is_the_plain_ratio_wherever_that_is_finite():
+    r = np.concatenate([np.geomspace(1e-9, 710.0, 401), [710.4, 710.475]])
+    r = np.concatenate([r, -r])
+    want = np.cosh(r) / np.sinh(r)
+    assert np.all(np.isfinite(want))
+    np.testing.assert_array_equal(coth(r), want)
+    np.testing.assert_array_equal(coth_jet(r, 3).value(), want)
+
+
 @pytest.mark.parametrize("level", [1, 2, 3, 4, 5])
 def test_bump_jet_levels_match_finite_differences(level):
     u = Bump(2.0, 1.0, 1)

@@ -2,6 +2,7 @@
 
 import gc
 
+import numpy as np
 import pytest
 
 from poincare_hardy import (
@@ -53,16 +54,38 @@ def test_cached_terms_equal_the_formulas_bit_for_bit(monkeypatch, suite, N):
         assert fn(grid) == expected
 
 
+def _refuse_measures(name, r):
+    """``weight_values`` for a test at N = 1, which must read no measure."""
+    if name.startswith("sinh"):
+        raise AssertionError(f"measure {name!r} read at N = 1")
+    return weight_values(name, r)
+
+
 def test_lemmas_at_n1_read_no_measure(monkeypatch):
     # sinh^0 r = 1 changes no product, so N = 1 skips the measure and its sinh pass
-    def refuse(name, r):
-        if name.startswith("sinh"):
-            raise AssertionError(f"measure {name!r} read at N = 1")
-        return weight_values(name, r)
-
-    monkeypatch.setattr(quadrature, "weight_values", refuse)
+    monkeypatch.setattr(quadrature, "weight_values", _refuse_measures)
     vals, _ = verify._integrals(Bump(2.0, 1.0, 1), 1, QuadratureSpec(), _INTEGRANDS)
     assert vals["grad"] > 0.0
+
+
+@pytest.mark.parametrize("N", [1, 5, 9])
+@pytest.mark.parametrize("weight", ["one", "inv_r2", "inv_sinh4"])
+def test_grid_integrate_applies_weight_then_measure_bit_for_bit(monkeypatch, weight, N):
+    grid = build_grid(QuadratureSpec(), (0.5, 3.0))
+    r = grid.nodes
+    values = np.exp(-r) * np.cos(3.0 * r)
+    expected = float(np.dot((values * weight_values(weight, r)) * weight_values(f"sinh{N - 1}", r), grid.weights))
+    if N == 1:
+        monkeypatch.setattr(quadrature, "weight_values", _refuse_measures)
+    assert grid.integrate(values, weight, N) == expected
+
+
+def test_grid_integrate_refuses_an_overflowing_measure_before_any_weight():
+    grid = build_grid(QuadratureSpec(), (690.0, 710.0))
+    for _ in range(2):
+        with pytest.raises(QuadratureError, match="overflows"):
+            grid.integrate(np.ones_like(grid.nodes), "inv_r2", 5)
+    assert _grid_weight.cache_info().currsize == 0
 
 
 def test_cached_arrays_are_read_only_and_bounded():
