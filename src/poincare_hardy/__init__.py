@@ -47,7 +47,7 @@ from .identities import (
     mode_margin_decomposition,
 )
 from .jets import Jet
-from .operators import laplace_radial, to_v_transform
+from .operators import to_v_transform
 from .profiles import (
     Bump,
     Cutoff,
@@ -107,7 +107,6 @@ __all__ = [
     "check_trans1",
     "mode_margin_decomposition",
     "Jet",
-    "laplace_radial",
     "to_v_transform",
     "Bump",
     "Cutoff",

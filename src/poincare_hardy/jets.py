@@ -25,7 +25,7 @@ import math
 
 import numpy as np
 
-__all__ = ["Jet", "variable", "constant", "sinh_jet", "cosh_jet", "coth_jet", "coth"]
+__all__ = ["Jet", "variable", "sinh_jet", "coth_jet", "coth"]
 
 
 def _with_grid_ndim(coef: np.ndarray, ndim: int) -> np.ndarray:
@@ -194,29 +194,14 @@ def variable(x: np.ndarray, order: int) -> Jet:
     return Jet(coef)
 
 
-def constant(c, shape: tuple[int, ...], order: int) -> Jet:
-    coef = np.zeros((order + 1,) + shape)
-    coef[0] = c
-    return Jet(coef)
-
-
-def _cycle_jet(x: np.ndarray, order: int, even, odd) -> Jet:
-    """Jet of a function whose derivatives cycle even, odd, even, ... (sinh and cosh)."""
+def sinh_jet(x: np.ndarray, order: int) -> Jet:
+    """Jet of sinh at the points x, from the closed-form derivative cycle sinh, cosh, sinh, ..."""
     x = np.asarray(x, dtype=float)
-    cycle = (even(x), odd(x))
+    cycle = (np.sinh(x), np.cosh(x))
     coef = np.empty((order + 1,) + x.shape)
     for j in range(order + 1):
         coef[j] = cycle[j % 2] / math.factorial(j)
     return Jet(coef)
-
-
-def sinh_jet(x: np.ndarray, order: int) -> Jet:
-    """Jet of sinh at the points x, from the closed-form derivative cycle."""
-    return _cycle_jet(x, order, np.sinh, np.cosh)
-
-
-def cosh_jet(x: np.ndarray, order: int) -> Jet:
-    return _cycle_jet(x, order, np.cosh, np.sinh)
 
 
 def coth_jet(x: np.ndarray, order: int) -> Jet:

@@ -9,10 +9,14 @@ radial grid holds only the nodes strictly inside one support (see
 ``quadrature``), so the table's arrays cover ``grid.nodes`` as they are.
 
 Only the Laplacian levels carry N.  The jets of u and of coth on those nodes
-are built once per (u, grid, order) and serve every radial grid integral (the
-tables of every N, and the v-side integrals of ``identities``); their arrays
-are read-only, so no caller can write into another's.  A table of m levels
-needs order 2m + 1: its top level is read only as a value and a slope.
+serve every radial grid integral (the tables of every N, and the v-side
+integrals of ``identities``).  coth's jet depends only on the grid, and
+u = r^p * base (``power_split``) takes its jet by p shifts of base's, so
+``_grid_jet`` builds each of those once per grid and order: the suite members
+that share a support and differ only in p share one Bump core per grid.
+``_profile_jets`` keeps u's shifted jet per (u, grid, order).  Every array is
+read-only, so no caller can write into another's.  A table of m levels needs
+order 2m + 1: its top level is read only as a value and a slope.
 """
 
 from __future__ import annotations
@@ -22,12 +26,11 @@ import functools
 import numpy as np
 
 from .jets import Jet, coth_jet, sinh_jet
-from .profiles import RadialProfile
+from .profiles import RadialProfile, times_power
 from .quadrature import Grid
 
 __all__ = [
     "laplace_of_jet",
-    "laplace_radial",
     "gradk_sq_values",
     "to_v_transform",
     "RadialTable",
@@ -46,24 +49,30 @@ def laplace_of_jet(ujet: Jet, coth_full: Jet, N: int) -> Jet:
     return second + coth_full.truncate(q) * ujet.shift().truncate(q) * float(N - 1)
 
 
-def laplace_radial(u: RadialProfile, N: int, r: np.ndarray, order: int = 0) -> Jet:
-    """Jet of the hyperbolic Laplacian of a radial profile at the points r."""
-    r = np.asarray(r, dtype=float)
-    return laplace_of_jet(u.jet(r, order + 2), coth_jet(r, order + 2), N)
-
-
 def to_v_transform(ujet: Jet, N: int, r: np.ndarray) -> Jet:
     """Jet of v = sinh^{(N-1)/2}(r) * u(r), the substitution that flattens the measure, from u's jet at r."""
     return sinh_jet(np.asarray(r, dtype=float), ujet.order).power((N - 1) / 2.0) * ujet
 
 
+# the ``_grid_jet`` key of coth, beside the profiles
+_COTH = "coth"
+
+
+@functools.lru_cache(maxsize=16)
+def _grid_jet(f: RadialProfile | str, grid: Grid, order: int) -> Jet:
+    """The jet of coth (f = ``_COTH``) or of the profile f on ``grid.nodes``, read-only."""
+    jet = coth_jet(grid.nodes, order) if f == _COTH else f.jet(grid.nodes, order)
+    jet.coef.flags.writeable = False
+    return jet
+
+
 @functools.lru_cache(maxsize=8)
 def _profile_jets(u: RadialProfile, grid: Grid, order: int) -> tuple[Jet, Jet]:
     """The jets of u and of coth on ``grid.nodes``, read-only; they do not depend on N."""
-    jets = (u.jet(grid.nodes, order), coth_jet(grid.nodes, order))
-    for jet in jets:
-        jet.coef.flags.writeable = False
-    return jets
+    base, p = u.power_split()
+    ujet = times_power(_grid_jet(base, grid, order), grid.nodes, p)
+    ujet.coef.flags.writeable = False
+    return ujet, _grid_jet(_COTH, grid, order)
 
 
 class RadialTable:

@@ -10,15 +10,18 @@ comes from the lower ones alone.  The verifier's memo of integrals relies on
 it.  A Bump's core exp(-1/(1 - t^2)) solves a linear ODE, so its jet comes
 from a short linear recurrence (``_bump_core``) rather than from composing
 the series of t^2, a reciprocal and exp.  Its r^p factor is p shifts
-(``Jet.times_variable``): r f has coefficients r f_k + f_{k-1}, so no full
-jet product is formed.
+(``times_power``): r f has coefficients r f_k + f_{k-1}, so no full jet
+product is formed.  A profile names that factor through ``power_split``,
+(base, p) with the profile equal to r^p * base, so a caller that holds the
+jet of base serves every power p from it: ``operators`` builds a Bump's
+masked core once per grid for all the suite members on its support.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 
 import numpy as np
@@ -80,6 +83,10 @@ class RadialProfile:
     def jet(self, r: np.ndarray, order: int) -> Jet:
         raise NotImplementedError
 
+    def power_split(self) -> tuple["RadialProfile", int]:
+        """(base, p) with this profile equal to r^p * base: its jet is ``times_power`` of base's."""
+        return self, 0
+
     def __call__(self, r: np.ndarray) -> np.ndarray:
         return self.jet(np.asarray(r, dtype=float), 0).value()
 
@@ -108,15 +115,28 @@ class Bump(RadialProfile):
     def id(self) -> str:
         return f"bump_c{self.center}_w{self.width}_p{self.power}"
 
+    def power_split(self) -> tuple["Bump", int]:
+        return replace(self, power=0), self.power
+
     def jet(self, r: np.ndarray, order: int) -> Jet:
         r = np.asarray(r, dtype=float)
+        if self.power:
+            base, p = self.power_split()
+            return times_power(base.jet(r, order), r, p)
         inv_w = 1.0 / self.width
         t = (r - self.center) * inv_w
         inside = np.abs(t) < 1.0 - _EDGE
-        core = _bump_core(np.where(inside, t, 0.0), inv_w, order)
-        for _ in range(self.power):
-            core = core.times_variable(r)
-        return core.where(inside)
+        return _bump_core(np.where(inside, t, 0.0), inv_w, order).where(inside)
+
+
+def times_power(jet: Jet, r: np.ndarray, p: int) -> Jet:
+    """Jet of r^p f from the jet of f at the points r: p shifts ``Jet.times_variable``.
+
+    A shift keeps an exact zero jet zero, so a masked jet stays masked.
+    """
+    for _ in range(p):
+        jet = jet.times_variable(r)
+    return jet
 
 
 def _bump_core(t: np.ndarray, inv_w: float, order: int) -> Jet:

@@ -4,14 +4,17 @@
 ``case_leading_constants`` gives its endpoints in closed form.  For every
 l < k <= 10 they agree for every N, not only at the dimensions sampled
 elsewhere, and the mode coefficients of ``anbn`` are smallest at n = 0, for every
-N >= 5, because their lambda-coefficients are positive there.
+N >= 5, because their lambda-coefficients are positive there.  A symbolic
+replay of the cascade, with N a sympy symbol, shows every chain entry of
+every k <= 6, the middle ones included, positive for every admissible N.
 """
 
 from fractions import Fraction as F
 
 import pytest
+import sympy
 
-from poincare_hardy import CaseSpec, anbn, case_leading_constants, chain_replay, lambda_n
+from poincare_hardy import CaseSpec, anbn, case_leading_constants, chain_replay, constants, lambda_n
 
 CASES = [(k, l) for k in range(1, 11) for l in range(k)]
 
@@ -117,3 +120,79 @@ def test_a_lambda_coefficient_negative_only_past_N_46_is_caught():
     assert all(_lambda_coefficients(bent, N)[3] > 0 for N in range(5, 47))
     assert _lambda_coefficients(bent, 47)[3] < 0
     assert not _lambda_coefficients_positive_for_every_N(bent)
+
+
+_N, _T = sympy.symbols("N t")
+SYMBOLIC_CASES = [(k, l) for k in range(1, 7) for l in range(k)]
+
+
+def _symbolic_yang_extended(gamma: int, beta: int) -> list[sympy.Expr]:
+    """``yang_extended(gamma, beta, N)`` with N a symbol: the fourth-order weighted step, typed from its
+    statement, iterated gamma times."""
+    coeffs = {0: sympy.Integer(1)}
+    for _ in range(gamma):
+        nxt = {}
+        for p, c in coeffs.items():
+            b = beta + 2 * p
+            w0 = (_N - 1) ** 2 / 16
+            w2 = (_N - 2 - b) * (_N - 2 + b) * (_N - 1) / 8
+            w4 = (_N + b) ** 2 * (_N - b - 4) ** 2 / 16
+            for shift, w in enumerate((w0, w2, w4)):
+                nxt[p + shift] = nxt.get(p + shift, 0) + c * w
+        coeffs = nxt
+    return [coeffs[p] for p in range(2 * gamma + 1)]
+
+
+def _symbolic_chain(k: int, l: int) -> list[sympy.Poly]:
+    """The cascade of ``chain_replay`` for (k, l) with N a symbol: alpha^1..alpha^k as polynomials in N."""
+    chain = [sympy.Integer(0)] * k
+    for j in range(l + 1, k + 1):
+        cascade = ((_N - 1) / 2) ** (2 * (k - j))
+        step = (sympy.Rational(1, 4),) if j % 2 else ((_N - 1) ** 2 / 16, sympy.Rational(9, 16))
+        for i, c in enumerate(step, start=1):
+            for p, e in enumerate(_symbolic_yang_extended((j - 1) // 2, 2 * i)):
+                chain[i + p - 1] += cascade * c * e
+    return [sympy.Poly(sympy.expand(c), _N) for c in chain]
+
+
+def _fraction(x: sympy.Rational) -> F:
+    return F(int(x.p), int(x.q))
+
+
+def _replay_matches_symbolic_chain(k: int, l: int, polys: list[sympy.Poly]) -> bool:
+    """Whether ``chain_replay`` equals the symbolic chain at the 2k + 1 dimensions N = 2k+1 .. 4k+1.
+
+    Both sides are polynomials in N of degree at most 2k (the bound is derived
+    in ``test_chain_endpoints_equal_closed_forms_for_every_N`` and asserted on
+    the symbolic side), so agreement there makes them one polynomial.
+    """
+    return all(
+        chain_replay(CaseSpec(k, l, N)) == tuple(_fraction(p.eval(N)) for p in polys) for N in range(2 * k + 1, 4 * k + 2)
+    )
+
+
+@pytest.mark.parametrize("k, l", SYMBOLIC_CASES, ids=[f"k{k}_l{l}" for k, l in SYMBOLIC_CASES])
+def test_every_chain_entry_is_positive_for_every_admissible_N(k, l):
+    """After the shift N = 2k + 1 + t every coefficient in t is >= 0 and the constant one > 0,
+    so each entry is positive for every t >= 0: every N >= 2k + 1, which holds every admissible N."""
+    polys = _symbolic_chain(k, l)
+    assert all(p.degree() <= 2 * k for p in polys)
+    assert _replay_matches_symbolic_chain(k, l, polys)
+    for i, p in enumerate(polys, start=1):
+        shifted = sympy.Poly(p.as_expr().subs(_N, 2 * k + 1 + _T), _T)
+        coeffs = shifted.all_coeffs()
+        assert coeffs[-1] > 0 and all(c >= 0 for c in coeffs), (k, l, i, shifted)
+
+
+def test_a_perturbed_yang_extended_entry_is_caught(monkeypatch):
+    yang_extended = constants.yang_extended
+
+    def perturbed(gamma, beta, N):
+        out = list(yang_extended(gamma, beta, N))
+        if gamma:
+            out[1] *= F(1001, 1000)
+        return tuple(out)
+
+    monkeypatch.setattr(constants, "yang_extended", perturbed)
+    assert _replay_matches_symbolic_chain(2, 0, _symbolic_chain(2, 0))  # no weighted step below order 3
+    assert not _replay_matches_symbolic_chain(3, 0, _symbolic_chain(3, 0))
