@@ -8,11 +8,12 @@ the mode argument rests on, and exposes the slack decomposition that rebuilds
 the n = 0 remainder from the three one-dimensional lemmas.
 
 The estimates and slacks are exact coefficient tables over one raw family of
-integrals of v under dr, from d's shared profile jet on each grid of d's
-support, which holds only the nodes strictly inside it; the lemmas
-are verifier tables at N = 1 (measure dr, Laplacian d^2/dr^2), in one loop.
-Each grid memoises the raw family under (d, N) in ``Grid._terms``, so every
-mode and estimate on d at N integrates it once per grid.
+integrals of v under dr; the lemmas are verifier tables at N = 1 (measure dr,
+Laplacian d^2/dr^2), in one loop.  Each raw integrand is quadratic in
+(v, v', v''), so ``Grid.integrate`` takes it on v, v', v'' over
+s = sinh^{(N-1)/2} r (from d's jet and coth r) under s^2, the measure at N, like
+every radial integral; it is memoised per grid under (d, N) in ``Grid._terms``.
+The pointwise checks build v's jet by ``to_v_transform``: an independent route.
 """
 
 from __future__ import annotations
@@ -93,8 +94,8 @@ def check_trans1(u: RadialProfile, N: int, tol: float = 1e-10) -> IdentityResidu
     return IdentityResidualReport.from_sides("trans1", u.id, N, None, lhs, rhs, tol)
 
 
-# The raw family {key: (integrand(t), weight)}: t carries v, dv = v', ddv = v'' and coth r, as the verifier
-# integrates them.  The first seven keys are the ``_LEMMAS`` terms, which the slacks read over v.
+# The raw family {key: (integrand(t), weight)}: t carries v, dv = v', ddv = v'', each over sinh^{(N-1)/2} r,
+# and coth r.  The first seven keys are the ``_LEMMAS`` terms, which the slacks read over v.
 _RAW = {
     "grad_sinh2": (lambda t: t.dv**2, "inv_sinh2"),
     "sinh4": (lambda t: t.v**2, "inv_sinh4"),
@@ -126,13 +127,14 @@ def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
 
     Memoised per grid under (d, N), so callers share the returned dicts and must not change them.
     """
-    @np.errstate(over="ignore", invalid="ignore")  # as in check_ph1
+    a = (N - 1) / 2.0  # s = sinh^a r has s' = a coth(r) s and s'' = (a (a - 1) coth^2 r + a) s
     def terms(grid):
         if (d, N) not in grid._terms:
             djet, cjet = _profile_jets(d, grid, 2)  # cjet.value() is coth(grid.nodes)
-            v = to_v_transform(djet, N, grid.nodes)
-            t = SimpleNamespace(v=v.value(), dv=v.derivative(1), ddv=v.derivative(2), coth=cjet.value())
-            grid._terms[d, N] = {key: grid.integrate(integrand(t), weight) for key, (integrand, weight) in _RAW.items()}
+            f, df, c = djet.value(), djet.derivative(1), cjet.value()
+            ddv = djet.derivative(2) + 2 * a * c * df + (a * (a - 1) * c**2 + a) * f
+            t = SimpleNamespace(v=f, dv=df + a * c * f, ddv=ddv, coth=c)
+            grid._terms[d, N] = {key: grid.integrate(integrand(t), weight, N) for key, (integrand, weight) in _RAW.items()}
         return grid._terms[d, N]
 
     return converge_terms(terms, spec, d.support)
@@ -185,16 +187,13 @@ def _estimate2_tables(n: int, N: int) -> tuple[F, dict, dict]:
     return be2, lhs, rhs
 
 
-def _sides(tables, vals: dict, n: int, N: int) -> tuple[float, float]:
-    """``factor * sum(lhs)``, the factor outside as in the statement, and ``sum(rhs)`` of ``tables(n, N)``."""
-    factor, lhs, rhs = tables(n, N)
-    return float(factor) * _combine(vals, lhs), _combine(vals, rhs)
-
-
 def _check_estimate(tables, which, d, n, N, spec, tol) -> IdentityResidualReport:
     _require_dimension(N)
+    factor, lhs, rhs = tables(n, N)
+    if not any(factor * c for c in lhs.values()) and not any(rhs.values()):  # estimate2 at N = 1: all carry N - 1
+        raise HypothesisError(f"{which}: every coefficient of the identity vanishes at N = {N}; it certifies nothing")
     vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec())
-    lhs, rhs = _sides(tables, vals, n, N)
+    lhs, rhs = float(factor) * _combine(vals, lhs), _combine(vals, rhs)  # the factor outside, as stated
     return IdentityResidualReport.from_sides(which, d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})
 
 
@@ -246,7 +245,8 @@ def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | N
     quadrature noise only.
     """
     vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec())
-    margin_direct = _sides(_estimate1_tables, vals, 0, N)[0] - _sides(_estimate2_tables, vals, 0, N)[0]
+    (f1, lhs1, _), (f2, lhs2, _) = _estimate1_tables(0, N), _estimate2_tables(0, N)
+    margin_direct = float(f1) * _combine(vals, lhs1) - float(f2) * _combine(vals, lhs2)
     c = thm21_constants(N)
     pieces = {key: float(c[f"c_{key}"]) * vals[key] for key in ("r4", "r2", "sinh4", "sinh2")}
     hardy = poincare_constant(CaseSpec(2, 1, N))

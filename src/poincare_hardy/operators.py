@@ -9,8 +9,8 @@ radial grid holds only the nodes strictly inside one support (see
 ``quadrature``), so the table's arrays cover ``grid.nodes`` as they are.
 
 Only the Laplacian levels carry N.  The jets of u and of coth on those nodes
-serve every radial grid integral (the tables of every N, and the v-side
-integrals of ``identities``).  coth's jet depends only on the grid, and
+serve every radial grid integral (the tables of every N, and the estimates'
+v, v', v'' over sinh^{(N-1)/2} r).  coth's jet depends only on the grid, and
 u = r^p * base (``power_split``) takes its jet by p shifts of base's, so
 ``_grid_jet`` builds each of those once per grid and order: the suite members
 that share a support and differ only in p share one Bump core per grid.
@@ -50,7 +50,7 @@ def laplace_of_jet(ujet: Jet, coth_full: Jet, N: int) -> Jet:
 
 
 def to_v_transform(ujet: Jet, N: int, r: np.ndarray) -> Jet:
-    """Jet of v = sinh^{(N-1)/2}(r) * u(r), the substitution that flattens the measure, from u's jet at r."""
+    """Jet of v = sinh^{(N-1)/2}(r) * u(r) from u's jet at r: the pointwise identities' route to v."""
     return sinh_jet(np.asarray(r, dtype=float), ujet.order).power((N - 1) / 2.0) * ujet
 
 

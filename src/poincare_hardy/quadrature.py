@@ -29,7 +29,11 @@ Either way every node lies strictly inside the support, and callers evaluate
 their integrands on ``grid.nodes`` as they are.
 
 ``Grid.integrate(g, w, N)`` is the one place where an integrand meets its
-weight and measure.  They do not depend on ``g``, so it reads them from one
+weight and measure, but for the one integrand that carries its own:
+``sharpness_probe("poincare_k1")`` fuses e^{-2ar} sinh^{N-1} r into
+exp(-2ar + (N-1) log_sinh r), since on its cutoffs, out to r = 2000, e^{-2ar}
+underflows and sinh^{N-1} r overflows: neither stays in double range alone.
+Weight and measure do not depend on ``g``, so it reads them from one
 private cache of named factors, built once per grid: ``_grid_weight`` keyed
 on (grid, name), the measure being the name "sinh<N-1>" (none at N = 1).  A
 grid hashes by identity.  The cached arrays are the very arrays
@@ -68,13 +72,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration policy for radial integrals over a support (lo, hi).
-
-    A grid has ``panels * 2**refine`` panels (see ``_cached_grid``): equal
-    ones on [0, hi] when lo = 0.  When lo > 0 they cover (0, r_max] with
-    r_max = hi + 1, the first break sits at ``1e-6 * r_max`` and breaks grow
-    geometrically from there; only the nodes inside (lo, hi) are kept.
-    """
+    """Integration policy for radial integrals over a support (lo, hi): a grid has ``panels * 2**refine``
+    panels of ``nodes_per_panel`` nodes each, laid out as the module docstring says."""
 
     abs_tol: ClassVar[float] = 1e-30
     panels: int = 32

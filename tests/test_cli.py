@@ -98,14 +98,39 @@ def test_nonfinite_margin_term_exits_2(fmt, capsys):
     )
 
 
+# the measure's refusal, as ``quadrature.weight_values`` words it for sinh^p overflowing at r
+_MEASURE_OVERFLOW = "numerical failure: sinh^{p} overflows double precision at r = {r}; use a smaller support or dimension\n"
+
+
 @pytest.mark.parametrize("which", ["ph1", "trans1", "estimate1", "estimate2"])
 @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
 def test_identity_overflow_exits_2_quietly(which, fmt, capsys):
-    # sinh^{(N-1)/2} overflows at N = 1000, so a side is inf or nan: one message, no numpy warnings
+    # at N = 1000 the pointwise checks' sinh^{(N-1)/2} overflows, so a side is inf or nan; the estimates
+    # integrate under the measure sinh^{N-1} r, which refuses to overflow: one message, no numpy warnings
     code, out, err = run(["identity", "--which", which, "--N", "1000", "--format", fmt], capsys)
     assert code == 2
     assert out == ""
-    assert err == f"numerical failure: {which} on bump_c1.0_w0.9_p0: a side of the identity is not finite\n"
+    if which in ("ph1", "trans1"):
+        assert err == f"numerical failure: {which} on bump_c1.0_w0.9_p0: a side of the identity is not finite\n"
+    else:
+        assert err == _MEASURE_OVERFLOW.format(p=999, r=1.89389)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity", "--which", "estimate1", "--N", "160"],
+        ["identity", "--which", "estimate2", "--N", "160"],
+        ["verify", "--case", "thm21", "--N", "160"],
+    ],
+    ids=["estimate1", "estimate2", "thm21"],
+)
+def test_estimates_and_margins_refuse_one_overflowing_measure_alike(argv, capsys):
+    # the estimates integrate under sinh^{N-1} r as the margins do: bump_c3.5_w1.0 reaches
+    # r = 4.5, past 690/159 = 4.34, so every command stops at its grid with the same line
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (2, "")
+    assert err == _MEASURE_OVERFLOW.format(p=159, r=4.48702)
 
 
 @pytest.mark.parametrize("which", ["pf1", "pf2"])
@@ -434,10 +459,18 @@ def test_dimension_without_a_space_exits_64(argv, capsys):
 
 
 def test_identity_at_n1_still_runs(capsys):
-    for which in ("ph1", "trans1"):
+    for which in ("ph1", "trans1", "estimate1"):
         code, out, _ = run(["identity", "--which", which, "--N", "1"], capsys)
         assert code == 0
         assert "PASS: 20/20 checks passed" in out
+
+
+@pytest.mark.parametrize("n", ["0", "2"])
+def test_estimate2_at_n1_is_refused_as_vacuous(n, capsys):
+    # every coefficient of estimate2 carries a factor N - 1, so both sides are 0 whatever the function
+    code, out, err = run(["identity", "--which", "estimate2", "--N", "1", "--n", n], capsys)
+    assert (code, out) == (64, "")
+    assert err == "error: estimate2: every coefficient of the identity vanishes at N = 1; it certifies nothing\n"
 
 
 def test_identity_estimate_with_mode(capsys):

@@ -8,6 +8,7 @@ term misses by an O(1) relative residual even on smooth members.
 """
 
 from collections import Counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,8 +23,10 @@ from poincare_hardy import (
     check_pf2,
     identities,
     load_suite,
+    operators,
     quadrature,
 )
+from poincare_hardy.cli import main
 from poincare_hardy.identities import (
     check_1d_lemmas,
     check_estimate1,
@@ -33,6 +36,7 @@ from poincare_hardy.identities import (
     identity_sample_points,
     mode_margin_decomposition,
 )
+from poincare_hardy.jets import coth
 from poincare_hardy.operators import to_v_transform
 from poincare_hardy.quadrature import build_grid
 
@@ -124,6 +128,41 @@ def test_estimates_of_every_dimension_read_one_profile_jet_per_grid(monkeypatch)
     for N in (5, 7, 9):
         assert check_estimate1(u, 0, N).verdict
     assert sizes and len(sizes) == len(set(sizes)), sizes
+
+
+@pytest.mark.parametrize("N", [1, 2, 3, 5, 9])
+def test_raw_integrals_agree_with_the_v_jet_route(N):
+    # the raw family takes v, v', v'' over s = sinh^{(N-1)/2} r under the measure s^2; the reference
+    # builds v's jet with to_v_transform and integrates under dr.  On one grid the two sums differ
+    # by rounding only, within gamma_n * sum |w_i f_i| (Higham, Accuracy and Stability of Numerical
+    # Algorithms, 3.1); at N = 1, where s = 1, they are the same floats
+    spec = QuadratureSpec(max_doublings=0)  # the loop stops at the grid both routes integrate on
+    unit = np.finfo(float).eps / 2
+    for d in load_suite("standard") + load_suite("origin"):
+        grid = build_grid(spec, d.support)
+        gamma = grid.nodes.size * unit / (1 - grid.nodes.size * unit)
+        vals, _ = identities._mode_raw_integrals(d, N, spec)
+        w = to_v_transform(d.jet(grid.nodes, 2), N, grid.nodes)
+        t = SimpleNamespace(v=w.value(), dv=w.derivative(1), ddv=w.derivative(2), coth=coth(grid.nodes))
+        for key, (integrand, weight) in identities._RAW.items():
+            old = integrand(t)
+            if N == 1:
+                assert vals[key] == grid.integrate(old, weight), (d.id, key)
+            else:
+                bound = gamma * grid.integrate(np.abs(old), weight)
+                assert abs(vals[key] - grid.integrate(old, weight)) <= bound, (d.id, N, key)
+
+
+def test_estimates_build_no_jet_of_the_sinh_power(monkeypatch, capsys):
+    calls = []
+    for module, name in ((identities, "to_v_transform"), (operators, "sinh_jet")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, fn=fn, name=name: calls.append(name) or fn(*args))
+    assert main(["identity", "--which", "estimate1", "--N", "5"]) == 0
+    assert calls == []
+    # the pointwise check still builds v's jet, so the wrappers do count
+    assert main(["identity", "--which", "ph1", "--N", "5"]) == 0
+    assert set(calls) == {"to_v_transform", "sinh_jet"}
 
 
 def test_estimate1_residual_scale_invariant():

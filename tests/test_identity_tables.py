@@ -21,6 +21,10 @@ entry is a polynomial in N of degree at most 4 and in lambda of degree at
 most 2, so the Euler operator's coefficients are too.  At each N the four
 eigenvalues lambda_0..lambda_3 are distinct, so each coefficient vanishes as
 a polynomial in lambda; then twelve roots N = 2..13 make it vanish in N.
+
+Every raw integrand is also homogeneous of degree 2 in (v, v', v''), which is
+what lets ``identities`` integrate it on v, v', v'' over sinh^{(N-1)/2} r
+under the measure sinh^{N-1} r; that is checked here too.
 """
 
 from fractions import Fraction as F
@@ -89,3 +93,29 @@ def test_a_perturbed_estimate1_coefficient_is_caught(key, shift):
 
     for N, n in _CASES:
         assert _euler(_integrand(perturbed, n, N)) != 0, (N, n)
+
+
+def _is_quadratic(integrand) -> bool:
+    """Whether ``integrand(t)`` scales by k^2 when v, v' and v'' do: homogeneous of degree 2 in them."""
+    k = sympy.Symbol("k")
+    t = SimpleNamespace(v=_V[0], dv=_V[1], ddv=_V[2], coth=c)
+    scaled = SimpleNamespace(v=k * _V[0], dv=k * _V[1], ddv=k * _V[2], coth=c)
+    return sympy.expand(integrand(scaled) - k**2 * integrand(t)) == 0
+
+
+def test_every_raw_integrand_is_quadratic_in_v():
+    # so with s = sinh^{(N-1)/2} r each one is s^2 times itself on (v, v', v'')/s, and
+    # ``identities`` integrates it on those quotients under s^2, the measure at N
+    for key, (integrand, _) in identities._RAW.items():
+        assert _is_quadratic(integrand), key
+
+
+@pytest.mark.parametrize(
+    "planted",
+    [lambda t: t.v * t.dv**2, lambda t: t.coth * t.v, lambda t: t.ddv**2 + t.v],
+    ids=["cubic", "linear", "mixed"],
+)
+def test_a_planted_non_quadratic_entry_is_caught(planted, monkeypatch):
+    monkeypatch.setitem(identities._RAW, "planted", (planted, "one"))
+    with pytest.raises(AssertionError, match="planted"):
+        test_every_raw_integrand_is_quadratic_in_v()

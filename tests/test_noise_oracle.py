@@ -4,16 +4,21 @@ Every margin verdict demands ``noise <= tol * scale``, where ``noise`` adds up
 the per-term errors that the panel-doubling loop reports.  Here each of those
 errors is checked against the true error of its integral, computed with
 ``mpmath.quad`` on the bump's closed form and its first two derivatives.
-Both families are covered: the verifier's terms under the hyperbolic measure
-and the 1-D lemma terms of ``identities`` under dr, which are the verifier's
-terms at N = 1 (measure 1, Laplacian u'').
+Three families are covered: the verifier's terms under the hyperbolic
+measure, the 1-D lemma terms of ``identities`` under dr, which are the
+verifier's terms at N = 1 (measure 1, Laplacian u''), and the raw v-family
+behind the estimate identities, v = sinh^{(N-1)/2} u, with v, v' and v''
+taken from u's closed form by the product rule.
 """
+
+import functools
+from types import SimpleNamespace
 
 import mpmath
 import numpy as np
 import pytest
 
-from poincare_hardy import Bump, QuadratureSpec
+from poincare_hardy import Bump, QuadratureSpec, identities
 from poincare_hardy.verify import _integrals
 
 # term -> (k, weight) as the verifier names them: |grad^k u|^2 * weight
@@ -56,11 +61,8 @@ MEMBERS = [
 ]
 
 
-def _reference(u: Bump, terms: dict, measure) -> dict[str, mpmath.mpf]:
-    """int |u^(k)|^2 weight(r) measure(r) dr over the support for every term, at 32 digits.
-
-    k = 2 is u'', which the terms use only at N = 1, where it is the Laplacian.
-    """
+def _parts(u: Bump):
+    """r -> (u, u', u'') from the bump's closed form, in mpmath."""
     c, w, p = mpmath.mpf(u.center), mpmath.mpf(u.width), u.power
 
     def parts(r):
@@ -77,13 +79,47 @@ def _reference(u: Bump, terms: dict, measure) -> dict[str, mpmath.mpf]:
         curve = (ddpower + 2 * dpower * h + power * (h * h + dh)) * core
         return value, slope, curve
 
+    return parts
+
+
+def _quad(u: Bump, integrand) -> mpmath.mpf:
+    """int integrand(r) dr over the support of u, split at its centre, at 32 digits."""
     lo, hi = u.support
     with mpmath.workdps(32):
-        nodes = [mpmath.mpf(lo), c, mpmath.mpf(hi)]
-        return {
-            key: mpmath.quad(lambda r, k=k, weight=WEIGHTS[weight]: parts(r)[k] ** 2 * weight(r) * measure(r), nodes)
-            for key, (k, weight) in terms.items()
-        }
+        return mpmath.quad(integrand, [mpmath.mpf(lo), mpmath.mpf(u.center), mpmath.mpf(hi)])
+
+
+def _reference(u: Bump, terms: dict, measure) -> dict[str, mpmath.mpf]:
+    """int |u^(k)|^2 weight(r) measure(r) dr over the support for every term, at 32 digits.
+
+    k = 2 is u'', which the terms use only at N = 1, where it is the Laplacian.
+    """
+    parts = _parts(u)
+    return {
+        key: _quad(u, lambda r, k=k, weight=WEIGHTS[weight]: parts(r)[k] ** 2 * weight(r) * measure(r))
+        for key, (k, weight) in terms.items()
+    }
+
+
+def _v_reference(u: Bump, N: int) -> dict[str, mpmath.mpf]:
+    """Every ``identities._RAW`` integral of v = sinh^{(N-1)/2}(r) u(r) under dr, at 32 digits.
+
+    v, v' and v'' come from the product rule on u's closed form and on the
+    derivatives of s = sinh^a r, a = (N-1)/2, written out in sinh and cosh.
+    """
+    parts = _parts(u)
+
+    @functools.lru_cache(maxsize=None)  # every key's quadrature visits the same nodes
+    def family(r):
+        f, df, ddf = parts(r)
+        a, sh, ch = mpmath.mpf(N - 1) / 2, mpmath.sinh(r), mpmath.cosh(r)
+        s, ds, dds = sh**a, a * ch * sh ** (a - 1), a * (a - 1) * ch**2 * sh ** (a - 2) + a * sh**a
+        return SimpleNamespace(v=s * f, dv=ds * f + s * df, ddv=dds * f + 2 * ds * df + s * ddf, coth=ch / sh)
+
+    return {
+        key: _quad(u, lambda r, integrand=integrand, weight=WEIGHTS[weight]: integrand(family(r)) * weight(r))
+        for key, (integrand, weight) in identities._RAW.items()
+    }
 
 
 def _assert_bounded(vals, errs, ref):
@@ -104,3 +140,32 @@ def test_noise_bounds_the_true_error(u, N, spec):
 def test_lemma_noise_bounds_the_true_error(u, spec):
     vals, errs = _integrals(u, 1, spec, LEMMA_TERMS)
     _assert_bounded(vals, errs, _reference(u, LEMMA_TERMS, lambda r: 1))
+
+
+# (bump, N): a standard member on the graded rule and an origin member on equal panels, at two dimensions
+V_CASES = [(u, N) for u in (Bump(1.0, 0.9, 0), Bump(2.0, 2.0, 2)) for N in (5, 9)]
+
+# c_v_dv = int coth v v' dr cancels: the integral of its absolute value is 13 to 1,100 times its own.  The
+# doubling difference, floored at one ulp of the value, misses the rounding of that sum on two cases: true
+# errors of 18 and 222 ulp against 1 and 30 reported.  A rounding bound on the error floor makes them pass.
+_UNDER_REPORTED = {("c_v_dv", "bump_c1.0_w0.9_p0", 5), ("c_v_dv", "bump_c2.0_w2.0_p2", 9)}
+_FLOOR = pytest.mark.xfail(strict=True, reason="the error floor is one ulp of the value, not a rounding bound")
+
+
+@functools.lru_cache(maxsize=None)
+def _v_case(u: Bump, N: int):
+    vals, errs = identities._mode_raw_integrals(u, N, QuadratureSpec())
+    return vals, errs, _v_reference(u, N)
+
+
+@pytest.mark.parametrize(
+    "u, N, key",
+    [
+        pytest.param(u, N, key, marks=[_FLOOR] if (key, u.id, N) in _UNDER_REPORTED else [], id=f"{u.id}_N{N}_{key}")
+        for u, N in V_CASES
+        for key in identities._RAW
+    ],
+)
+def test_v_family_noise_bounds_the_true_error(u, N, key):
+    vals, errs, ref = _v_case(u, N)
+    _assert_bounded(vals, errs, {key: ref[key]})
