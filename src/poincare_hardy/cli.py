@@ -14,6 +14,7 @@ memory or internal failure, 64 usage or hypothesis error.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -55,6 +56,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(64, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parse_args keeps no state on the parser, so in-process callers share one
 def _build_parser() -> _Parser:
     parser = _Parser(prog="poincare-hardy", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -171,30 +173,31 @@ def _cmd_constants(args):
     return payload, rows, "\n".join(lines), 0
 
 
-# command -> {name: (u, args, spec, **tol) -> reports of one test function}.  The
-# lambdas look the checks up at call time, so a wrapper installed on this module's
+# command -> {name: (u, args, spec, suite, **tol) -> reports of one test function}.
+# The lambdas look the checks up at call time, so a wrapper installed on this module's
 # names sees every call.  ``tol`` is given only with --tol: defaults live in the checks.
+# ``suite=`` lets the radial integral checks share one pipeline per grid; it changes no result.
 _CHECKS = {
     "verify": {
-        "thm21": lambda u, a, spec, **tol: [margin_thm21(u, a.N, spec, **tol)],
-        "rellich": lambda u, a, spec, **tol: [margin_rellich(u, a.N, spec, **tol)],
-        "poincare": lambda u, a, spec, **tol: [margin_poincare_hardy(u, a.N, spec, **tol)],
-        "yang": lambda u, a, spec, **tol: [margin_yang(u, a.N, a.beta, spec, **tol)],
-        "general": lambda u, a, spec, **tol: [margin_general(CaseSpec(a.k, a.l, a.N), u, spec, **tol)],
-        "hardy1d": lambda u, a, spec, **tol: check_1d_lemmas(u, spec, **tol),
+        "thm21": lambda u, a, spec, suite, **tol: [margin_thm21(u, a.N, spec, **tol, suite=suite)],
+        "rellich": lambda u, a, spec, suite, **tol: [margin_rellich(u, a.N, spec, **tol, suite=suite)],
+        "poincare": lambda u, a, spec, suite, **tol: [margin_poincare_hardy(u, a.N, spec, **tol, suite=suite)],
+        "yang": lambda u, a, spec, suite, **tol: [margin_yang(u, a.N, a.beta, spec, **tol, suite=suite)],
+        "general": lambda u, a, spec, suite, **tol: [margin_general(CaseSpec(a.k, a.l, a.N), u, spec, **tol, suite=suite)],
+        "hardy1d": lambda u, a, spec, suite, **tol: check_1d_lemmas(u, spec, **tol, suite=suite),
     },
     "identity": {
-        "ph1": lambda u, a, spec, **tol: [check_ph1(u, a.N, **tol)],
-        "trans1": lambda u, a, spec, **tol: [check_trans1(u, a.N, **tol)],
-        "estimate1": lambda u, a, spec, **tol: [check_estimate1(u, a.n, a.N, spec, **tol)],
-        "estimate2": lambda u, a, spec, **tol: [check_estimate2(u, a.n, a.N, spec, **tol)],
+        "ph1": lambda u, a, spec, suite, **tol: [check_ph1(u, a.N, **tol)],
+        "trans1": lambda u, a, spec, suite, **tol: [check_trans1(u, a.N, **tol)],
+        "estimate1": lambda u, a, spec, suite, **tol: [check_estimate1(u, a.n, a.N, spec, **tol, suite=suite)],
+        "estimate2": lambda u, a, spec, suite, **tol: [check_estimate2(u, a.n, a.N, spec, **tol, suite=suite)],
     },
     "halfspace": {
-        "rellich1": lambda v, a, spec, **tol: [margin_halfspace("rellich1", v, a.N, spec, **tol)],
-        "rellich2": lambda v, a, spec, **tol: [margin_halfspace("rellich2", v, a.N, spec, **tol)],
-        "hardy_mazya": lambda v, a, spec, **tol: [margin_hardy_mazya(v, a.N, spec, **tol)],
-        "pf1": lambda v, a, spec, **tol: [check_pf1(v, alpha, a.N, spec, **tol) for alpha in _alphas(a)],
-        "pf2": lambda v, a, spec, **tol: [check_pf2(v, alpha, a.N, **tol) for alpha in _alphas(a)],
+        "rellich1": lambda v, a, spec, suite, **tol: [margin_halfspace("rellich1", v, a.N, spec, **tol)],
+        "rellich2": lambda v, a, spec, suite, **tol: [margin_halfspace("rellich2", v, a.N, spec, **tol)],
+        "hardy_mazya": lambda v, a, spec, suite, **tol: [margin_hardy_mazya(v, a.N, spec, **tol)],
+        "pf1": lambda v, a, spec, suite, **tol: [check_pf1(v, alpha, a.N, spec, **tol) for alpha in _alphas(a)],
+        "pf2": lambda v, a, spec, suite, **tol: [check_pf2(v, alpha, a.N, **tol) for alpha in _alphas(a)],
     },
 }
 
@@ -223,21 +226,23 @@ def _cmd_checks(args):
         elif name in ("pf1", "pf2"):
             extra["alphas"] = _alphas(args)
     tol = {} if args.tol is None else {"tol": args.tol}
-    reports = [r for u in suite for r in _CHECKS[args.command][name](u, args, spec, **tol)]
+    reports = [r for u in suite for r in _CHECKS[args.command][name](u, args, spec, suite, **tol)]
     all_pass = all(r.verdict for r in reports)
-    payload = {
-        "command": args.command,
-        **extra,
-        "tol": reports[0].tol,  # every suite has a member
-        "suite": {"name": args.suite, "version": suite_version()},
-        "reports": [r.to_dict() for r in reports],
-        "all_pass": all_pass,
-    }
-    rows = [row for r in reports for row in r.csv_rows()]
-    lines = [r.line() for r in reports]
+    code = 0 if all_pass else 1
+    if args.format == "json":
+        return {
+            "command": args.command,
+            **extra,
+            "tol": reports[0].tol,  # every suite has a member
+            "suite": {"name": args.suite, "version": suite_version()},
+            "reports": [r.to_dict() for r in reports],
+            "all_pass": all_pass,
+        }, None, None, code
+    if args.format == "csv":
+        return None, [row for r in reports for row in r.csv_rows()], None, code
     passed = sum(1 for r in reports if r.verdict)
-    lines.append(f"{'PASS' if all_pass else 'FAIL'}: {passed}/{len(reports)} checks passed")
-    return payload, rows, "\n".join(lines), 0 if all_pass else 1
+    lines = [*(r.line() for r in reports), f"{'PASS' if all_pass else 'FAIL'}: {passed}/{len(reports)} checks passed"]
+    return None, None, "\n".join(lines), code
 
 
 def _cmd_sharpness(args):

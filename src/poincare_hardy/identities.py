@@ -13,6 +13,8 @@ Laplacian d^2/dr^2), in one loop.  Each raw integrand is quadratic in
 (v, v', v''), so ``Grid.integrate`` takes it on v, v', v'' over
 s = sinh^{(N-1)/2} r (from d's jet and coth r) under s^2, the measure at N, like
 every radial integral; it is memoised per grid under (d, N) in ``Grid._terms``.
+With ``suite=``, as with the margins, a grid where d misses also takes the family
+of d's suite-mates on its support from one stacked jet; it changes no result.
 The pointwise checks build v's jet by ``to_v_transform``: an independent route.
 """
 
@@ -27,10 +29,10 @@ from .constants import CaseSpec, lambda_n, poincare_constant, thm21_constants
 from .errors import HypothesisError
 from .jets import coth, coth_jet
 from .profiles import RadialProfile
-from .operators import _profile_jets, laplace_of_jet, to_v_transform
+from .operators import _profile_jets, _stacked_jets, laplace_of_jet, to_v_transform
 from .quadrature import QuadratureSpec, _chebyshev, converge_terms
 from .reports import IdentityResidualReport, MarginReport, ordered_sum
-from .verify import _coefficients, _integrals
+from .verify import _coefficients, _integrals, _mates
 
 __all__ = [
     "identity_sample_points",
@@ -122,20 +124,23 @@ _LEMMAS = {
 }
 
 
-def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec):
+def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec, suite=()):
     """Every ``_RAW`` integral of v = sinh^{(N-1)/2} d, zero outside d's support; none depends on the mode n.
 
     Memoised per grid under (d, N), so callers share the returned dicts and must not change them.
     """
     a = (N - 1) / 2.0  # s = sinh^a r has s' = a coth(r) s and s'' = (a (a - 1) coth^2 r + a) s
     def terms(grid):
-        if (d, N) not in grid._terms:
-            djet, cjet = _profile_jets(d, grid, 2)  # cjet.value() is coth(grid.nodes)
+        memo = grid._terms
+        if (d, N) not in memo:
+            group = _mates(d, suite, lambda v: (v, N) not in memo)
+            djet, cjet = _stacked_jets(group, grid, 2) if suite else _profile_jets(d, grid, 2)  # cjet: coth's jet
             f, df, c = djet.value(), djet.derivative(1), cjet.value()
             ddv = djet.derivative(2) + 2 * a * c * df + (a * (a - 1) * c**2 + a) * f
             t = SimpleNamespace(v=f, dv=df + a * c * f, ddv=ddv, coth=c)
-            grid._terms[d, N] = {key: grid.integrate(integrand(t), weight, N) for key, (integrand, weight) in _RAW.items()}
-        return grid._terms[d, N]
+            sums = {key: grid.integrate(integrand(t), weight, N) for key, (integrand, weight) in _RAW.items()}
+            memo.update({(v, N): {key: s[i] for key, s in sums.items()} if suite else sums for i, v in enumerate(group)})
+        return memo[d, N]
 
     return converge_terms(terms, spec, d.support)
 
@@ -187,29 +192,29 @@ def _estimate2_tables(n: int, N: int) -> tuple[F, dict, dict]:
     return be2, lhs, rhs
 
 
-def _check_estimate(tables, which, d, n, N, spec, tol) -> IdentityResidualReport:
+def _check_estimate(tables, which, d, n, N, spec, tol, suite) -> IdentityResidualReport:
     _require_dimension(N)
     factor, lhs, rhs = tables(n, N)
     if not any(factor * c for c in lhs.values()) and not any(rhs.values()):  # estimate2 at N = 1: all carry N - 1
         raise HypothesisError(f"{which}: every coefficient of the identity vanishes at N = {N}; it certifies nothing")
-    vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec())
+    vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec(), suite)
     lhs, rhs = float(factor) * _combine(vals, lhs), _combine(vals, rhs)  # the factor outside, as stated
     return IdentityResidualReport.from_sides(which, d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})
 
 
 def check_estimate1(
-    d: RadialProfile, n: int, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8
+    d: RadialProfile, n: int, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8, *, suite=()
 ) -> IdentityResidualReport:
     """Integral expansion of the squared mode operator in v-form.
 
     int (v'' - ((N-1)(N-3)/4) coth^2 v - ((N-1)/2) v - lambda_n v/sinh^2)^2 dr
     equals the six-term right-hand side produced by integrating by parts.
     """
-    return _check_estimate(_estimate1_tables, "estimate1", d, n, N, spec, tol)
+    return _check_estimate(_estimate1_tables, "estimate1", d, n, N, spec, tol, suite)
 
 
 def check_estimate2(
-    d: RadialProfile, n: int, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8
+    d: RadialProfile, n: int, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8, *, suite=()
 ) -> IdentityResidualReport:
     """Integral identity for the first-order mode term in v-form.
 
@@ -218,11 +223,13 @@ def check_estimate2(
     to ((N-1)/2)^2 int (v')^2 + ((N-1)^4/16) int v^2
     + (((N-1)^2/4) lambda_n + (N-1)^3 (N-3)/16) int v^2/sinh^2.
     """
-    return _check_estimate(_estimate2_tables, "estimate2", d, n, N, spec, tol)
+    return _check_estimate(_estimate2_tables, "estimate2", d, n, N, spec, tol, suite)
 
 
 @np.errstate(over="ignore")  # sinh overflows past r = 710; the 1/sinh weights then read 0
-def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> list[MarginReport]:
+def check_1d_lemmas(
+    u: RadialProfile, spec: QuadratureSpec | None = None, tol: float = 1e-8, *, suite=()
+) -> list[MarginReport]:
     """The three one-dimensional lemmas on (0, infinity) with measure dr.
 
     int (u')^2/sinh^2 >= (9/4) int u^2/sinh^4 + int u^2/sinh^2
@@ -230,7 +237,7 @@ def check_1d_lemmas(u: RadialProfile, spec: QuadratureSpec | None = None, tol: f
     int (u'')^2      >= (9/16) int u^2/r^4
     """
     integrands = {key: (k, weight) for table in _LEMMAS.values() for key, (k, weight, _) in table.items()}
-    vals, errs = _integrals(u, 1, spec or QuadratureSpec(), integrands)
+    vals, errs = _integrals(u, 1, spec or QuadratureSpec(), integrands, suite)
     return [MarginReport.from_integrals(case, u.id, None, vals, errs, _coefficients(t), tol) for case, t in _LEMMAS.items()]
 
 

@@ -17,6 +17,10 @@ that share a support and differ only in p share one Bump core per grid.
 ``_profile_jets`` keeps u's shifted jet per (u, grid, order).  Every array is
 read-only, so no caller can write into another's.  A table of m levels needs
 order 2m + 1: its top level is read only as a value and a slope.
+
+A table of a tuple of profiles serves the suite members on one grid with one
+tower: ``_stacked_jets`` stacks their jets before the nodes, uncached.  Every
+array is then (members, nodes), and row i holds member i's own table's floats.
 """
 
 from __future__ import annotations
@@ -43,10 +47,11 @@ def laplace_of_jet(ujet: Jet, coth_full: Jet, N: int) -> Jet:
     q = ujet.order - 2
     if q < 0:
         raise ValueError("need jet order >= 2 to apply the Laplacian")
-    second = ujet.shift().shift()
+    du = ujet.shift()
+    second = du.shift()
     if N == 1:  # the Laplacian on (0, infinity) under dr: no coth term
         return second
-    return second + coth_full.truncate(q) * ujet.shift().truncate(q) * float(N - 1)
+    return second + coth_full.truncate(q) * du.truncate(q) * float(N - 1)
 
 
 def to_v_transform(ujet: Jet, N: int, r: np.ndarray) -> Jet:
@@ -75,14 +80,31 @@ def _profile_jets(u: RadialProfile, grid: Grid, order: int) -> tuple[Jet, Jet]:
     return ujet, _grid_jet(_COTH, grid, order)
 
 
+def _stacked_jets(group: tuple[RadialProfile, ...], grid: Grid, order: int) -> tuple[Jet, Jet]:
+    """The ``_profile_jets`` floats of ``group``'s members on an axis before the nodes, and coth's jet.
+
+    A member r^p * base right after r^q * base, q <= p, takes p - q shifts of that member's jet."""
+    coef = np.empty((order + 1, len(group), *grid.nodes.shape))
+    last, q, jet = None, 0, None
+    for i, u in enumerate(group):
+        base, p = u.power_split()
+        if base != last or p < q:
+            q, jet = 0, _grid_jet(base, grid, order)
+        jet = times_power(jet, grid.nodes, p - q)
+        coef[:, i] = jet.coef
+        last, q = base, p
+    return Jet(coef), _grid_jet(_COTH, grid, order)
+
+
 class RadialTable:
     """Values and first derivatives of u, Lap u, ..., Lap^levels u on the grid nodes.
 
-    Level 0 is the shared profile jet of ``_profile_jets``: its arrays are read-only.
+    A tuple of profiles makes every array (members, nodes); level 0 of one is its read-only ``_profile_jets``.
     """
 
-    def __init__(self, u: RadialProfile, N: int, grid: Grid, levels: int):
-        ujet, cj = _profile_jets(u, grid, 2 * levels + 1)
+    def __init__(self, u: RadialProfile | tuple[RadialProfile, ...], N: int, grid: Grid, levels: int):
+        jets = _stacked_jets if isinstance(u, tuple) else _profile_jets
+        ujet, cj = jets(u, grid, 2 * levels + 1)
         tower = [ujet]
         for _ in range(levels):
             tower.append(laplace_of_jet(tower[-1], cj, N))
@@ -99,7 +121,7 @@ class RadialTable:
 
 
 def gradk_sq_values(table: RadialTable, k: int) -> np.ndarray:
-    """|grad^k u|^2 at the table's nodes: (Lap^m u)^2 for k = 2m, ((Lap^m u)')^2 for k = 2m+1."""
+    """|grad^k u|^2 at the table's nodes, per member of a stack: (Lap^m u)^2 for k = 2m, ((Lap^m u)')^2 for k = 2m+1."""
     m, odd = divmod(k, 2)
     if m > table.levels:
         raise ValueError(f"table holds {table.levels} Laplacian levels, order {k} needs {m}")

@@ -104,13 +104,16 @@ class Grid:
         self.weights = weights
         self._terms = {}
 
-    def integrate(self, values: np.ndarray, weight: str = "one", N: int = 1) -> float:
-        """Weighted sum of ``(values * weight) * sinh^{N-1} r`` given on the nodes (see the module docstring)."""
+    def integrate(self, values: np.ndarray, weight: str = "one", N: int = 1) -> float | list[float]:
+        """Weighted sum of ``(values * weight) * sinh^{N-1} r`` given on the nodes (see the module docstring);
+        a (members, nodes) stack gives each row's own sum (``stack @ weights`` would round differently)."""
         mu = None if N == 1 else _grid_weight(self, f"sinh{N - 1}")  # sinh^0 r = 1, and x * 1.0 == x
         if weight != "one":  # no ones array: it would raise peak memory for nothing
             values = values * _grid_weight(self, weight)
         if mu is not None:
             values = values * mu
+        if values.ndim == 2:
+            return [float(np.dot(row, self.weights)) for row in values]
         return float(np.dot(values, self.weights))
 
 

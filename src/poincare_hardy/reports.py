@@ -13,8 +13,10 @@ Each report also renders its own text line and its long-format CSV rows
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
+import math
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
@@ -85,30 +87,30 @@ class MarginReport:
         """
         terms = {key: float(c) * vals[key] for key, c in coef.items()}
         # a nan margin would print as a certificate in text and csv
-        if not all(np.isfinite(v) for v in terms.values()):
+        if not all(math.isfinite(v) for v in terms.values()):
             raise FloatingPointError(f"{case} on {function_id}: a term integral is not finite")
         if all(vals[key] == 0.0 for key in coef):
             raise ValueError(f"{case}: every term integral of {function_id} is 0; it vanishes on the quadrature grid")
         noise = ordered_sum(abs(float(c)) * errs[key] for key, c in coef.items())
         return cls(case=case, function_id=function_id, N=N, terms=terms, noise=noise, tol=tol)
 
-    @property
+    @functools.cached_property  # each summary is computed once per report
     def margin(self) -> float:
         return ordered_sum(self.terms.values())
 
-    @property
+    @functools.cached_property
     def lhs(self) -> float:
         return ordered_sum(v for v in self.terms.values() if v > 0)
 
-    @property
+    @functools.cached_property
     def rhs(self) -> float:
         return -ordered_sum(v for v in self.terms.values() if v < 0)
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
         return self.lhs + self.rhs
 
-    @property
+    @functools.cached_property
     def verdict(self) -> bool:
         gate = self.tol * self.scale
         return self.margin >= -gate and self.noise <= gate

@@ -25,6 +25,10 @@ stored only once every term of its evaluation is in, so a refused measure
 (see ``quadrature.Grid.integrate``) leaves nothing behind.  The memo lives on
 the grid, so it is bounded by the grid cache and dies with the grid; the
 identities' raw v-family shares it under (d, N).
+
+A margin's keyword-only ``suite`` (the CLI passes its own) makes a grid where u
+misses also take the missing terms of u's suite-mates on its support, in that
+single update, from one stacked table: ``suite`` changes no float of any member.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ from .constants import (
 )
 from .errors import HypothesisError
 from .profiles import Bump, Cutoff, RadialProfile
-from .operators import gradk_sq_values, radial_table
+from .operators import RadialTable, gradk_sq_values, radial_table
 from .quadrature import QuadratureSpec, converge_terms, log_sinh
 from .reports import MarginReport
 
@@ -58,18 +62,25 @@ def _inv_r(power: int) -> str:
     return "one" if power == 0 else f"inv_r{power}"
 
 
-def _integrals(u, N, spec, integrands):
+def _mates(u, suite, misses) -> tuple:
+    """u, then the other members of ``suite`` on u's support for which ``misses`` holds, in suite order."""
+    support = u.support
+    return tuple(v for v in dict.fromkeys((u, *suite)) if v is u or (v.support == support and misses(v)))
+
+
+def _integrals(u, N, spec, integrands, suite=()):
     """Converged ``{term: int |grad^k u|^2 * weight dV}`` for ``integrands = {term: (k, weight)}``."""
     levels = max(k for k, _ in integrands.values()) // 2
-    terms = {key: (u, N, k, weight) for key, (k, weight) in integrands.items()}
 
     def fn(grid):
         memo = grid._terms
-        missing = dict.fromkeys(term for term in terms.values() if term not in memo)
+        missing = dict.fromkeys((k, w) for k, w in integrands.values() if (u, N, k, w) not in memo)
         if missing:
-            table = radial_table(u, N, grid, levels)
-            memo.update({(u, N, k, w): grid.integrate(gradk_sq_values(table, k), w, N) for _, _, k, w in missing})
-        return {key: memo[term] for key, term in terms.items()}
+            group = _mates(u, suite, lambda v: any((v, N, k, w) not in memo for k, w in missing))
+            table = RadialTable(group, N, grid, levels) if suite else radial_table(u, N, grid, levels)
+            sums = {(k, w): grid.integrate(gradk_sq_values(table, k), w, N) for k, w in missing}
+            memo.update({(v, N, k, w): s[i] if suite else s for (k, w), s in sums.items() for i, v in enumerate(group)})
+        return {key: memo[u, N, k, w] for key, (k, w) in integrands.items()}
 
     return converge_terms(fn, spec, u.support)
 
@@ -79,9 +90,9 @@ def _coefficients(table: dict) -> dict:
     return {key: c for key, (_, _, c) in table.items()}
 
 
-def _margin(case, u, N, table, spec, tol) -> MarginReport:
+def _margin(case, u, N, table, spec, tol, suite) -> MarginReport:
     """Evaluate one inequality table ``{term: (k, weight, coef)}`` on u."""
-    vals, errs = _integrals(u, N, spec or QuadratureSpec(), {key: (k, w) for key, (k, w, _) in table.items()})
+    vals, errs = _integrals(u, N, spec or QuadratureSpec(), {key: (k, w) for key, (k, w, _) in table.items()}, suite)
     return MarginReport.from_integrals(case, u.id, N, vals, errs, _coefficients(table), tol)
 
 
@@ -96,19 +107,25 @@ def _chain_table(case: CaseSpec, top: str, bottom: str) -> dict:
     return table
 
 
-def margin_poincare_hardy(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
+def margin_poincare_hardy(
+    u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8, *, suite=()
+) -> MarginReport:
     """int |grad u|^2 >= ((N-1)/2)^2 int u^2 + (1/4) int u^2/r^2, hyperbolic measure: the case (1, 0)."""
     table = _chain_table(CaseSpec(1, 0, N), "grad", "poincare")
-    return _margin("poincare", u, N, table, spec, tol)
+    return _margin("poincare", u, N, table, spec, tol, suite)
 
 
-def margin_rellich(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
+def margin_rellich(
+    u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8, *, suite=()
+) -> MarginReport:
     """int (Lap u)^2 >= ((N-1)/2)^4 int u^2 + ((N-1)^2/8) int u^2/r^2 + (9/16) int u^2/r^4: the case (2, 0)."""
     table = _chain_table(CaseSpec(2, 0, N), "lap2", "poincare")
-    return _margin("rellich", u, N, table, spec, tol)
+    return _margin("rellich", u, N, table, spec, tol, suite)
 
 
-def margin_thm21(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
+def margin_thm21(
+    u: RadialProfile, N: int, spec: QuadratureSpec | None = None, tol: float = 1e-8, *, suite=()
+) -> MarginReport:
     """The case (2, 1) with its two extra sinh remainders.
 
     int (Lap u)^2 >= ((N-1)/2)^2 int |grad u|^2 + c_r2 int u^2/r^2
@@ -118,10 +135,12 @@ def margin_thm21(u: RadialProfile, N: int, spec: QuadratureSpec | None = None, t
     c = thm21_constants(N)
     table["sinh2"] = (0, "inv_sinh2", -c["c_sinh2"])
     table["sinh4"] = (0, "inv_sinh4", -c["c_sinh4"])
-    return _margin("thm21", u, N, table, spec, tol)
+    return _margin("thm21", u, N, table, spec, tol, suite)
 
 
-def margin_yang(u: RadialProfile, N: int, beta: int = 0, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
+def margin_yang(
+    u: RadialProfile, N: int, beta: int = 0, spec: QuadratureSpec | None = None, tol: float = 1e-8, *, suite=()
+) -> MarginReport:
     """The fourth-order weighted step: int (Lap u)^2/r^beta against its three remainders."""
     w = yang_constants(beta, N)
     table = {
@@ -130,10 +149,12 @@ def margin_yang(u: RadialProfile, N: int, beta: int = 0, spec: QuadratureSpec | 
         "rb2": (0, _inv_r(beta + 2), -w["w2"]),
         "rb0": (0, _inv_r(beta), -w["w0"]),
     }
-    return _margin(f"yang_b{beta}", u, N, table, spec, tol)
+    return _margin(f"yang_b{beta}", u, N, table, spec, tol, suite)
 
 
-def margin_general(case: CaseSpec, u: RadialProfile, spec: QuadratureSpec | None = None, tol: float = 1e-8) -> MarginReport:
+def margin_general(
+    case: CaseSpec, u: RadialProfile, spec: QuadratureSpec | None = None, tol: float = 1e-8, *, suite=()
+) -> MarginReport:
     """int |grad^k u|^2 against the order-l term and the full remainder chain.
 
     Numerical margins are supported for k <= 4; the singular weights and jet
@@ -141,7 +162,7 @@ def margin_general(case: CaseSpec, u: RadialProfile, spec: QuadratureSpec | None
     """
     if case.k > 4:
         raise ValueError("numerical margins support k <= 4; exact constants have no such cap")
-    return _margin(f"general_k{case.k}_l{case.l}", u, case.N, _chain_table(case, "gradk", "gradl"), spec, tol)
+    return _margin(f"general_k{case.k}_l{case.l}", u, case.N, _chain_table(case, "gradk", "gradl"), spec, tol, suite)
 
 
 _SHARPNESS_RATES = (1.25, 1.15, 1.08, 1.04, 1.02, 1.008, 1.001)

@@ -12,8 +12,8 @@ import poincare_hardy
 from conftest import _CACHES
 
 # caches of pure lookups whose hits no test counts: Gauss-Legendre rules, the
-# suite manifest and the extended Yang coefficients
-_UNCOUNTED = {"quadrature._gauss", "profiles._manifest", "constants.yang_extended"}
+# suite manifest, the extended Yang coefficients and the CLI's argument parser
+_UNCOUNTED = {"quadrature._gauss", "profiles._manifest", "constants.yang_extended", "cli._build_parser"}
 
 
 def _package_caches() -> dict[int, str]:

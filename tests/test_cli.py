@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from poincare_hardy import Bump, cli, halfspace
+from poincare_hardy import Bump, cli, halfspace, quadrature
 from poincare_hardy.cli import main
 from poincare_hardy.reports import MarginReport
 
@@ -131,6 +131,23 @@ def test_estimates_and_margins_refuse_one_overflowing_measure_alike(argv, capsys
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
     assert err == _MEASURE_OVERFLOW.format(p=159, r=4.48702)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["verify", "--case", "thm21", "--N", "160"], ["identity", "--which", "estimate1", "--N", "160"]],
+    ids=["thm21", "estimate1"],
+)
+def test_a_refused_measure_leaves_every_grid_memo_empty(argv, capsys, monkeypatch):
+    # the CLI evaluates the members of a grid together, and stores their terms in one update:
+    # on the grids where sinh^159 overflows (past r = 690/159) nothing may be stored
+    grids = []
+    build = quadrature.build_grid
+    monkeypatch.setattr(quadrature, "build_grid", lambda *args: grids.append(build(*args)) or grids[-1])
+    assert run(argv, capsys) == (2, "", _MEASURE_OVERFLOW.format(p=159, r=4.48702))
+    refused = [grid for grid in grids if 159 * grid.nodes.max() > 690.0]
+    assert refused and all(grid._terms == {} for grid in refused)
+    assert any(grid._terms for grid in grids)  # the members before it finished their grids
 
 
 @pytest.mark.parametrize("which", ["pf1", "pf2"])
@@ -420,6 +437,36 @@ def test_auto_names_of_each_numeric_flag(tmp_path, capsys, monkeypatch):
         "sharpness_thm21_r2_N5.txt",
         "halfspace_pf2_alpha1.0,-0.5_N5.txt",
     }
+
+
+def test_successive_calls_share_no_state(tmp_path, capsys, monkeypatch):
+    # the parser is built once per process; every call parses into a fresh namespace
+    assert cli._build_parser() is cli._build_parser()
+
+    def alphas(*given):
+        argv = ["halfspace", "--which", "pf2", "--N", "5", "--format", "json"]
+        code, out, _ = run([*argv, *(arg for alpha in given for arg in ("--alpha", alpha))], capsys)
+        assert code == 0
+        return json.loads(out)["alphas"]
+
+    # a repeated --alpha appends only its own values, and no call's leak into the default
+    assert alphas("1", "-0.5") == [1.0, -0.5]
+    assert alphas("2") == [2.0]
+    assert alphas() == [1.5, 0.5]
+
+    poincare = ["verify", "--case", "poincare", "--N", "5", "--format", "json"]
+    before = run(poincare, capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--case", "nope", "--N", "5"])
+    assert exc.value.code == 64
+    assert "invalid choice" in capsys.readouterr().err
+    assert run(poincare, capsys) == before
+
+    monkeypatch.setenv("POINCARE_HARDY_OUTDIR", str(tmp_path))
+    for _ in range(2):
+        for argv in (poincare, ["halfspace", "--which", "pf2", "--alpha", "1", "--format", "csv"]):
+            assert run(argv, capsys) == (0, "", "")
+    assert {path.name for path in tmp_path.iterdir()} == {"verify_poincare_N5.json", "halfspace_pf2_alpha1.0_N5.csv"}
 
 
 def test_unwritable_output_exits_2(capsys):

@@ -5,6 +5,7 @@ from dataclasses import fields
 
 import pytest
 
+from poincare_hardy import Bump, margin_thm21
 from poincare_hardy.reports import IdentityResidualReport, MarginReport, dumps_csv, dumps_json
 
 REPORTS = [
@@ -75,3 +76,24 @@ def test_text_lines_and_csv_rows_keep_their_format():
         "hardy1d_a,,bump_c2.0_w1.0_p0,lhs,1.0\n"
         "estimate1_n0,5,bump_c2.0_w1.0_p0,max_abs_residual,1e-14\n"
     )
+
+
+def test_a_parsed_report_serializes_to_the_same_bytes():
+    computed = margin_thm21(Bump(2.0, 1.0, 1), 5)
+    for report in [*REPORTS, computed]:
+        back = type(report).from_dict(report.to_dict())
+        assert back == report
+        assert dumps_json(back.to_dict()) == dumps_json(report.to_dict())
+        assert dumps_csv(back.csv_rows()) == dumps_csv(report.csv_rows())
+        assert back.line() == report.line()
+
+
+def test_margin_summaries_are_computed_once_per_report():
+    report = REPORTS[0]
+    summaries = ("margin", "lhs", "rhs", "scale", "verdict")
+    report.to_dict()
+    assert {name: vars(report)[name] for name in summaries} == {
+        "margin": 1.25, "lhs": 2.5, "rhs": 1.25, "scale": 3.75, "verdict": True
+    }
+    # the cached summaries are not fields: equality and parsing see only the stored ones
+    assert MarginReport.from_dict(report.to_dict()) == report

@@ -2,9 +2,10 @@
 
 coth's jet depends only on the grid, and a Bump r^p * core takes its jet by p
 shifts of its core's, so ``operators._grid_jet`` builds each once per grid and
-order for every member on that support.  These tests hold the shared jets to
-the fresh ones bit for bit, count the builds, and check that no CLI command's
-output depends on what ran before it in the same process.
+order for every member on that support; the CLI's members on one grid also
+share one stacked tower.  These tests hold the shared jets to the fresh ones
+bit for bit, count the builds, and check that no CLI command's output depends
+on what ran before it in the same process.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from poincare_hardy import QuadratureSpec, load_suite, operators, profiles, quadrature
+from poincare_hardy import QuadratureSpec, load_suite, operators, profiles, quadrature, verify
 from poincare_hardy.cli import main
 from poincare_hardy.jets import coth_jet
 from poincare_hardy.operators import _profile_jets
@@ -49,14 +50,16 @@ def _counting(monkeypatch, module, name):
 def test_verify_builds_each_core_and_coth_jet_once_per_grid(monkeypatch, capsys):
     cores = _counting(monkeypatch, profiles, "_bump_core")
     coths = _counting(monkeypatch, operators, "coth_jet")
-    towers = _counting(monkeypatch, operators, "RadialTable")
+    towers = _counting(monkeypatch, verify, "RadialTable")
+    tables = _counting(monkeypatch, verify, "radial_table")
     assert main(["verify", "--case", "thm21", "--N", "5", "--format", "json"]) in (0, 1)
     capsys.readouterr()
-    # the 20 members of `standard` sit on 5 supports; thm21 builds one jet order on each grid
+    # the 20 members of `standard` sit on 5 supports; thm21 builds one jet order on each
+    # grid, and the members on a grid share one stacked tower, built directly
     grids = quadrature._cached_grid.cache_info().misses
-    assert len(cores) == len(coths) == grids
-    assert 5 <= grids < len(towers)
+    assert len(cores) == len(coths) == len(towers) == grids >= 5
     assert len({grid for _, _, grid, _ in towers}) == grids
+    assert not tables
 
 
 def _cli_standard_commands() -> list[list[str]]:
