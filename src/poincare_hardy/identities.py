@@ -29,7 +29,7 @@ from .constants import CaseSpec, lambda_n, poincare_constant, thm21_constants
 from .errors import HypothesisError
 from .jets import coth, coth_jet
 from .profiles import RadialProfile
-from .operators import _profile_jets, _stacked_jets, laplace_of_jet, to_v_transform
+from .operators import _stacked_jets, laplace_of_jet, to_v_transform
 from .quadrature import QuadratureSpec, _chebyshev, converge_terms
 from .reports import IdentityResidualReport, MarginReport, ordered_sum
 from .verify import _coefficients, _integrals, _mates
@@ -134,12 +134,12 @@ def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec, suite=()
         memo = grid._terms
         if (d, N) not in memo:
             group = _mates(d, suite, lambda v: (v, N) not in memo)
-            djet, cjet = _stacked_jets(group, grid, 2) if suite else _profile_jets(d, grid, 2)  # cjet: coth's jet
+            djet, cjet = _stacked_jets(group, grid, 2)  # (members, nodes) jets; cjet is coth's
             f, df, c = djet.value(), djet.derivative(1), cjet.value()
             ddv = djet.derivative(2) + 2 * a * c * df + (a * (a - 1) * c**2 + a) * f
             t = SimpleNamespace(v=f, dv=df + a * c * f, ddv=ddv, coth=c)
             sums = {key: grid.integrate(integrand(t), weight, N) for key, (integrand, weight) in _RAW.items()}
-            memo.update({(v, N): {key: s[i] for key, s in sums.items()} if suite else sums for i, v in enumerate(group)})
+            memo.update({(v, N): {key: s[i] for key, s in sums.items()} for i, v in enumerate(group)})
         return memo[d, N]
 
     return converge_terms(terms, spec, d.support)

@@ -26,9 +26,8 @@ stored only once every term of its evaluation is in, so a refused measure
 the grid, so it is bounded by the grid cache and dies with the grid; the
 identities' raw v-family shares it under (d, N).
 
-A margin's keyword-only ``suite`` (the CLI passes its own) makes a grid where u
-misses also take the missing terms of u's suite-mates on its support, in that
-single update, from one stacked table: ``suite`` changes no float of any member.
+A margin's keyword-only ``suite`` makes a grid where u misses also take the missing
+terms of u's suite-mates on its support, in that update, from one stacked table: same floats.
 """
 
 from __future__ import annotations
@@ -77,9 +76,10 @@ def _integrals(u, N, spec, integrands, suite=()):
         missing = dict.fromkeys((k, w) for k, w in integrands.values() if (u, N, k, w) not in memo)
         if missing:
             group = _mates(u, suite, lambda v: any((v, N, k, w) not in memo for k, w in missing))
-            table = RadialTable(group, N, grid, levels) if suite else radial_table(u, N, grid, levels)
+            stacked = len(group) > 1
+            table = RadialTable(group, N, grid, levels) if stacked else radial_table(u, N, grid, levels)
             sums = {(k, w): grid.integrate(gradk_sq_values(table, k), w, N) for k, w in missing}
-            memo.update({(v, N, k, w): s[i] if suite else s for (k, w), s in sums.items() for i, v in enumerate(group)})
+            memo.update({(v, N, k, w): s[i] if stacked else s for (k, w), s in sums.items() for i, v in enumerate(group)})
         return {key: memo[u, N, k, w] for key, (k, w) in integrands.items()}
 
     return converge_terms(fn, spec, u.support)
