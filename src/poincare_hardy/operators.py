@@ -13,10 +13,10 @@ serve every radial grid integral (the tables of every N, and the estimates'
 v, v', v'' over sinh^{(N-1)/2} r).  coth's jet depends only on the grid, and
 u = r^p * base (``power_split``) takes its jet by p shifts of base's, so
 ``_grid_jet`` builds each of those once per grid and order: the suite members
-that share a support and differ only in p share one Bump core per grid.
-``_profile_jets`` keeps u's shifted jet per (u, grid, order).  Every array is
-read-only, so no caller can write into another's.  A table of m levels needs
-order 2m + 1: its top level is read only as a value and a slope.
+that share a support and differ only in p share one Bump core per grid, which
+``_profile_jets`` shifts on every call: there is no cache per (u, grid, order).
+Every array is read-only, so no caller can write into another's.  A table of
+m levels needs order 2m + 1: its top level is read only as a value and a slope.
 
 A table of a tuple of profiles serves the suite members on one grid with one
 tower: ``_stacked_jets`` stacks their jets before the nodes, uncached.  Every
@@ -71,7 +71,6 @@ def _grid_jet(f: RadialProfile | str, grid: Grid, order: int) -> Jet:
     return jet
 
 
-@functools.lru_cache(maxsize=8)
 def _profile_jets(u: RadialProfile, grid: Grid, order: int) -> tuple[Jet, Jet]:
     """The jets of u and of coth on ``grid.nodes``, read-only; they do not depend on N."""
     base, p = u.power_split()

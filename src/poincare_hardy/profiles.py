@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 
 import numpy as np
@@ -116,7 +116,7 @@ class Bump(RadialProfile):
         return f"bump_c{self.center}_w{self.width}_p{self.power}"
 
     def power_split(self) -> tuple["Bump", int]:
-        return replace(self, power=0), self.power
+        return Bump(self.center, self.width), self.power
 
     def jet(self, r: np.ndarray, order: int) -> Jet:
         r = np.asarray(r, dtype=float)

@@ -10,7 +10,7 @@ here are shared with the half-space tensor grid.
 
 So a radial grid belongs to one support (lo, hi), and ``_cached_grid`` is the
 one home of its layout; it refuses a profile with no compact support and any
-support without 0 <= lo < hi < inf.
+support without 0 <= lo < hi < inf.  A layout only chooses the panel breaks:
 
 * A support that reaches the origin, (0, hi), gets equal panels on [0, hi].
   Under the paper's hypotheses (N > 2k, and N > beta + 4 for the weighted
@@ -19,14 +19,15 @@ support without 0 <= lo < hi < inf.
   plain composite rule converges spectrally.  (The 1-D lemma integrals, at
   N = 1, are finite only for a u that vanishes at 0 to matching order, and
   are then smooth as well.)
-* A support with lo > 0 gets the rule on (0, hi + 1] whose first panel break
-  sits at ``1e-6 * (hi + 1)`` and whose breaks grow geometrically from there,
-  cut down to the nodes strictly inside (lo, hi) with their weights.  Outside
-  the support every jet coefficient of ``g`` is exactly 0, so the dropped
-  nodes would add nothing but zeros.
+* A support with lo > 0 gets breaks on (0, hi + 1] whose first inner break
+  sits at ``1e-6 * (hi + 1)`` and which grow geometrically from there.
 
-Either way every node lies strictly inside the support, and callers evaluate
-their integrands on ``grid.nodes`` as they are.
+Then only the panels that meet (lo, hi) are laid out, and the grid keeps their
+nodes strictly inside the support, with their weights.  A panel's nodes come
+from its own two breaks alone, so they are those of the whole rule.  Outside
+the support every jet coefficient of ``g`` is exactly 0, so the nodes left
+out would add nothing but zeros.  Callers evaluate their integrands on
+``grid.nodes`` as they are.
 
 ``Grid.integrate(g, w, N)`` is the one place where an integrand meets its
 weight and measure, but for the one integrand that carries its own:
@@ -72,8 +73,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Integration policy for radial integrals over a support (lo, hi): a grid has ``panels * 2**refine``
-    panels of ``nodes_per_panel`` nodes each, laid out as the module docstring says."""
+    """Integration policy for radial integrals over a support (lo, hi): a layout has ``panels * 2**refine``
+    panels of ``nodes_per_panel`` nodes each, of which a grid lays out those that meet the support."""
 
     abs_tol: ClassVar[float] = 1e-30
     panels: int = 32
@@ -130,7 +131,7 @@ def _panel_rule(breaks: np.ndarray, nodes_per_panel: int) -> tuple[np.ndarray, n
     return (mid[:, None] + half[:, None] * x[None, :]).ravel(), (half[:, None] * w[None, :]).ravel()
 
 
-# width of the first panel of a radial grid on a support with lo > 0, relative to r_max
+# width of the first panel of a radial grid on a support with lo > 0, relative to hi + 1
 _MIN_BREAK_FRACTION = 1e-6
 
 
@@ -144,23 +145,22 @@ def _cached_grid(spec: QuadratureSpec, support: tuple[float, float], refine: int
     panels = spec.panels * (1 << refine)
     if lo == 0:
         # every certified integrand is smooth up to r = 0, so equal panels converge spectrally
-        return Grid(*_panel_rule(np.linspace(0.0, hi, panels + 1), spec.nodes_per_panel))
-    r_max = hi + 1.0
-    if panels == 1:
-        breaks = np.array([0.0, r_max])
+        breaks = np.linspace(0.0, hi, panels + 1)
+    elif panels == 1:
+        breaks = np.array([0.0, hi + 1.0])
     else:
         ratio = _MIN_BREAK_FRACTION ** (1.0 / (panels - 1))
-        breaks = np.concatenate(([0.0], r_max * ratio ** np.arange(panels - 1, -1, -1.0)))
-    nodes, weights = _panel_rule(breaks, spec.nodes_per_panel)
-    # the nodes ascend, so the nodes inside the support are one contiguous run;
-    # the copies let the full rule go
+        breaks = np.concatenate(([0.0], (hi + 1.0) * ratio ** np.arange(panels - 1, -1, -1.0)))
+    # lay out only the panels that meet (lo, hi); their nodes ascend, so those inside are one run
+    first, last = int(np.searchsorted(breaks, lo, side="right")) - 1, int(np.searchsorted(breaks, hi, side="left"))
+    nodes, weights = _panel_rule(breaks[first : last + 1], spec.nodes_per_panel)
     inside = slice(int(np.searchsorted(nodes, lo, side="right")), int(np.searchsorted(nodes, hi, side="left")))
-    return Grid(nodes[inside].copy(), weights[inside].copy())
+    return Grid(nodes[inside], weights[inside])
 
 
 def build_grid(spec: QuadratureSpec, support: tuple[float, float], refine: int = 0) -> Grid:
-    """The composite rule of ``support`` = (lo, hi): equal panels on [0, hi] if lo = 0, else the
-    graded rule on (0, hi + 1] cut down to the nodes strictly inside (lo, hi)."""
+    """The composite rule of ``support`` = (lo, hi) on the panels that meet it, cut to the nodes strictly inside:
+    equal panels on [0, hi] if lo = 0, else graded ones on (0, hi + 1]."""
     return _cached_grid(spec, support, refine)
 
 

@@ -12,7 +12,6 @@ _CACHES = (
     quadrature._cached_grid,  # each grid owns its term memo, so this clears that too
     quadrature._grid_weight,
     operators._grid_jet,
-    operators._profile_jets,
     operators.radial_table,
     constants.chain_replay,
 )

@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
-from poincare_hardy import Bump, cli, halfspace, quadrature
+from poincare_hardy import Bump, QuadratureSpec, cli, halfspace, load_suite, quadrature
 from poincare_hardy.cli import main
+from poincare_hardy.quadrature import build_grid
 from poincare_hardy.reports import MarginReport
 
 
@@ -98,8 +99,12 @@ def test_nonfinite_margin_term_exits_2(fmt, capsys):
     )
 
 
-# the measure's refusal, as ``quadrature.weight_values`` words it for sinh^p overflowing at r
-_MEASURE_OVERFLOW = "numerical failure: sinh^{p} overflows double precision at r = {r}; use a smaller support or dimension\n"
+def _measure_overflow(p: int) -> str:
+    """The measure's refusal, as ``quadrature.weight_values`` words it for sinh^p: at the largest refine-0
+    node of the first `standard` member whose grid reaches past 690/p."""
+    grids = (build_grid(QuadratureSpec(), u.support) for u in load_suite("standard"))
+    r = next(float(grid.nodes.max()) for grid in grids if p * grid.nodes.max() > 690.0)
+    return f"numerical failure: sinh^{p} overflows double precision at r = {r:g}; use a smaller support or dimension\n"
 
 
 @pytest.mark.parametrize("which", ["ph1", "trans1", "estimate1", "estimate2"])
@@ -113,7 +118,7 @@ def test_identity_overflow_exits_2_quietly(which, fmt, capsys):
     if which in ("ph1", "trans1"):
         assert err == f"numerical failure: {which} on bump_c1.0_w0.9_p0: a side of the identity is not finite\n"
     else:
-        assert err == _MEASURE_OVERFLOW.format(p=999, r=1.89389)
+        assert err == _measure_overflow(999)
 
 
 @pytest.mark.parametrize(
@@ -130,7 +135,7 @@ def test_estimates_and_margins_refuse_one_overflowing_measure_alike(argv, capsys
     # r = 4.5, past 690/159 = 4.34, so every command stops at its grid with the same line
     code, out, err = run(argv, capsys)
     assert (code, out) == (2, "")
-    assert err == _MEASURE_OVERFLOW.format(p=159, r=4.48702)
+    assert err == _measure_overflow(159)
 
 
 @pytest.mark.parametrize(
@@ -144,7 +149,7 @@ def test_a_refused_measure_leaves_every_grid_memo_empty(argv, capsys, monkeypatc
     grids = []
     build = quadrature.build_grid
     monkeypatch.setattr(quadrature, "build_grid", lambda *args: grids.append(build(*args)) or grids[-1])
-    assert run(argv, capsys) == (2, "", _MEASURE_OVERFLOW.format(p=159, r=4.48702))
+    assert run(argv, capsys) == (2, "", _measure_overflow(159))
     refused = [grid for grid in grids if 159 * grid.nodes.max() > 690.0]
     assert refused and all(grid._terms == {} for grid in refused)
     assert any(grid._terms for grid in grids)  # the members before it finished their grids

@@ -3,11 +3,21 @@
 import numpy as np
 import pytest
 
-from poincare_hardy import Bump, Cutoff, ExpDecay, Product, QuadratureSpec, Scaled, SmoothWindow, load_suite
+from poincare_hardy import (
+    Bump,
+    Cutoff,
+    ExpDecay,
+    Product,
+    QuadratureSpec,
+    Scaled,
+    SmoothWindow,
+    load_suite,
+    operators,
+    profiles,
+)
 from poincare_hardy.jets import coth_jet
 from poincare_hardy.operators import (
     RadialTable,
-    _profile_jets,
     gradk_sq_values,
     laplace_of_jet,
     radial_table,
@@ -178,19 +188,24 @@ def test_radial_table_on_span_equals_full_grid_tower(u, refine):
         assert np.array_equal(table.deriv(level), jet.derivative(1)[inside])
 
 
-def test_tables_of_every_dimension_share_one_read_only_profile_jet():
+def test_tables_of_every_dimension_read_one_core_into_equal_read_only_jets(monkeypatch):
     u = load_suite("origin")[-1]
+    assert u.power  # so level 0 is the core's shifted jet, not the cached core itself
     grid = build_grid(QuadratureSpec(), u.support, 1)
+    cores = []
+    core = profiles._bump_core
+    monkeypatch.setattr(profiles, "_bump_core", lambda *args: cores.append(args) or core(*args))
     t5, t9 = RadialTable(u, 5, grid, 2), RadialTable(u, 9, grid, 2)
     # two levels need order 5: the top level is read only through its value and first derivative
-    ujet, cj = _profile_jets(u, grid, 5)
-    assert t5._tower[0] is t9._tower[0] is ujet
+    assert len(cores) == 1
+    assert np.array_equal(t5._tower[0].coef, t9._tower[0].coef)
     for N, table in ((5, t5), (9, t9)):
         for level, jet in enumerate(_uncached_tower(u, N, grid.nodes, 2)):
             assert np.array_equal(table.values(level), jet.value())
             assert np.array_equal(table.deriv(level), jet.derivative(1))
-    for jet in (ujet, cj):
         with pytest.raises(ValueError, match="read-only"):
-            jet.coef[0, 0] = 1.0
+            table._tower[0].coef[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            table.values(0)[0] = 1.0
     with pytest.raises(ValueError, match="read-only"):
-        t9.values(0)[0] = 1.0
+        operators._grid_jet(operators._COTH, grid, 5).coef[0, 0] = 1.0

@@ -1,9 +1,13 @@
 """Composite Gauss-Legendre quadrature against closed forms and trapezoid."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from poincare_hardy import Bump, PlaneQuadratureSpec, QuadratureError, QuadratureSpec, cli, load_suite
+from poincare_hardy import Bump, PlaneQuadratureSpec, QuadratureError, QuadratureSpec, cli, load_suite, quadrature
 from poincare_hardy.quadrature import (
     _MIN_BREAK_FRACTION,
     _panel_rule,
@@ -16,19 +20,29 @@ from poincare_hardy.quadrature import (
 from _oracles import EXP4_SINH2, bump_values, trapezoid_radial
 
 
-def _graded_rule(spec, r_max, refine=0):
-    """The composite rule on (0, r_max]: breaks geometric from _MIN_BREAK_FRACTION * r_max up to r_max."""
-    panels = spec.panels * 2**refine
+def _graded_breaks(panels, r_max):
+    """Breaks on (0, r_max]: one panel, or geometric from _MIN_BREAK_FRACTION * r_max up to r_max."""
+    if panels == 1:
+        return np.array([0.0, r_max])
     ratio = _MIN_BREAK_FRACTION ** (1.0 / (panels - 1))
-    return _panel_rule(np.concatenate(([0.0], r_max * ratio ** np.arange(panels - 1, -1, -1.0))), spec.nodes_per_panel)
+    return np.concatenate(([0.0], r_max * ratio ** np.arange(panels - 1, -1, -1.0)))
+
+
+def _graded_rule(spec, r_max, refine=0):
+    """The composite rule on the graded breaks of (0, r_max]."""
+    return _panel_rule(_graded_breaks(spec.panels * 2**refine, r_max), spec.nodes_per_panel)
+
+
+def _full_breaks(spec, support, refine=0):
+    """The breaks of the whole rule a support's grid is cut from: equal on [0, hi] if lo = 0, else graded on (0, hi + 1]."""
+    lo, hi = support
+    panels = spec.panels * 2**refine
+    return np.linspace(0.0, hi, panels + 1) if lo == 0 else _graded_breaks(panels, hi + 1.0)
 
 
 def _full_rule(spec, support, refine=0):
-    """The whole rule a support's grid is cut from: equal panels on [0, hi] if lo = 0, else graded on (0, hi + 1]."""
-    lo, hi = support
-    if lo == 0:
-        return _panel_rule(np.linspace(0.0, hi, spec.panels * 2**refine + 1), spec.nodes_per_panel)
-    return _graded_rule(spec, hi + 1.0, refine)
+    """The whole rule a support's grid is cut from."""
+    return _panel_rule(_full_breaks(spec, support, refine), spec.nodes_per_panel)
 
 
 def test_grid_layout():
@@ -77,23 +91,85 @@ def test_grid_span_is_strictly_inside_support():
     assert np.array_equal(inner.nodes, r[inside]) and np.array_equal(inner.weights, base.weights[inside])
 
 
-@pytest.mark.parametrize("u", [load_suite("standard")[-1], load_suite("origin")[-1], Bump(2.5, 0.5, 1)], ids=lambda u: u.id)
-def test_support_grid_integral_matches_full_rule(u):
-    lo, hi = u.support
+def _laid_out(spec, support, refine):
+    """The panels, as (left, right) breaks, of each ``_panel_rule`` call that building the grid makes (uncached)."""
+    with mock.patch.object(quadrature, "_panel_rule", wraps=quadrature._panel_rule) as rule:
+        quadrature._cached_grid.__wrapped__(spec, support, refine)
+    return [list(zip(call.args[0][:-1], call.args[0][1:])) for call in rule.call_args_list]
+
+
+def _meeting_panels(spec, support, refine):
+    """The panels of the full rule whose span meets the open support."""
+    lo, hi = support
+    breaks = _full_breaks(spec, support, refine)
+    return [(a, b) for a, b in zip(breaks[:-1], breaks[1:]) if a < hi and b > lo]
+
+
+@pytest.mark.parametrize("suite", ["standard", "origin"])
+def test_a_grid_lays_out_only_the_panels_that_meet_its_support(suite):
     spec = QuadratureSpec()
-    for refine in (0, 1, 2):
-        grid = build_grid(spec, u.support, refine)
-        nodes, weights = _full_rule(spec, u.support, refine)
-        # the grid is the run of the full rule strictly inside the support, node for node
-        inside = (nodes > lo) & (nodes < hi)
-        assert np.array_equal(grid.nodes, nodes[inside]) and np.array_equal(grid.weights, weights[inside])
-        full = u(nodes) ** 2 * np.sinh(nodes) ** 4
-        assert not full[~inside].any()
-        # the two sums of the same products differ by rounding alone: gamma_n * sum |w_i f_i|
-        eps = np.finfo(float).eps / 2
-        gamma = nodes.size * eps / (1.0 - nodes.size * eps)
-        bound = gamma * float(np.sum(np.abs(weights * full)))
-        assert abs(grid.integrate(full[inside]) - float(np.dot(full, weights))) <= bound
+    for lo, hi in dict.fromkeys(u.support for u in load_suite(suite)):
+        for refine in range(spec.max_doublings + 1):
+            meets = _meeting_panels(spec, (lo, hi), refine)
+            assert _laid_out(spec, (lo, hi), refine) == [meets], (lo, hi, refine)
+            # a support at the origin meets every panel; one away from it meets a few of the graded ones
+            assert (len(meets) == spec.panels * 2**refine) == (lo == 0), (lo, hi, refine)
+
+
+def _fixed_break(breaks_of, j, hi):
+    """hi moved onto break j of ``breaks_of(hi)``, by iterating hi -> breaks_of(hi)[j] (a contraction)."""
+    for _ in range(200):
+        hi, last = float(breaks_of(hi)[j]), hi
+        if hi == last:
+            break
+    return hi
+
+
+@st.composite
+def _layouts(draw):
+    """A spec, a support and a refine level; lo = 0, lo on a break and hi on an inner break each come up."""
+    spec = QuadratureSpec(panels=draw(st.integers(1, 32)), nodes_per_panel=draw(st.integers(1, 16)))
+    refine = draw(st.integers(0, 3))
+    panels = spec.panels * 2**refine
+    hi = draw(st.floats(1e-3, 50.0))
+    graded = lambda hi: _graded_breaks(panels, hi + 1.0)
+    if panels > 1 and draw(st.booleans()):
+        j = draw(st.integers(1, panels - 1))
+        hi = _fixed_break(graded, j, hi)
+        assume(graded(hi)[j] == hi)
+    inner = graded(hi)[graded(hi) < hi]
+    lo = draw(st.one_of(st.just(0.0), st.sampled_from(list(inner)), st.floats(0.0, hi, exclude_max=True)))
+    return spec, (float(lo), hi), refine
+
+
+# hi on the last inner break of 4 graded panels
+_HI_ON_BREAK = _fixed_break(lambda hi: _graded_breaks(4, hi + 1.0), 3, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_layouts())
+@example((QuadratureSpec(panels=1, nodes_per_panel=5), (0.5, 2.0), 0))
+@example((QuadratureSpec(panels=2, nodes_per_panel=5), (0.5, 2.0), 0))
+@example((QuadratureSpec(panels=4, nodes_per_panel=3), (0.5 * _HI_ON_BREAK, _HI_ON_BREAK), 0))
+@example((QuadratureSpec(), Bump(1.0, 1e-13).support, 0))  # inside one panel: the grid is empty
+@example((QuadratureSpec(), load_suite("standard")[-1].support, 2))
+@example((QuadratureSpec(), load_suite("origin")[-1].support, 2))
+@example((QuadratureSpec(), Bump(2.5, 0.5, 1).support, 2))
+def test_support_grid_integral_matches_full_rule(layout):
+    spec, (lo, hi), refine = layout
+    grid = build_grid(spec, (lo, hi), refine)
+    nodes, weights = _full_rule(spec, (lo, hi), refine)
+    # the grid is the run of the full rule strictly inside the support, node for node and weight for weight
+    inside = (nodes > lo) & (nodes < hi)
+    assert np.array_equal(grid.nodes, nodes[inside]) and np.array_equal(grid.weights, weights[inside])
+    assert _laid_out(spec, (lo, hi), refine) == [_meeting_panels(spec, (lo, hi), refine)]
+    # a function that vanishes off the support: the two sums of the same products differ by rounding
+    # alone, gamma_n * sum |w_i f_i|
+    full = np.clip((nodes - lo) * (hi - nodes), 0.0, None) ** 2 * np.sinh(nodes) ** 4
+    eps = np.finfo(float).eps / 2
+    gamma = nodes.size * eps / (1.0 - nodes.size * eps)
+    bound = gamma * float(np.sum(np.abs(weights * full)))
+    assert abs(grid.integrate(full[inside]) - float(np.dot(full, weights))) <= bound
 
 
 @pytest.mark.parametrize("suite", ["standard", "origin"])
