@@ -116,6 +116,26 @@ def test_a_grid_lays_out_only_the_panels_that_meet_its_support(suite):
             assert (len(meets) == spec.panels * 2**refine) == (lo == 0), (lo, hi, refine)
 
 
+@pytest.mark.parametrize("u", [load_suite("standard")[-1], load_suite("origin")[-1], Bump(2.5, 0.5, 1)], ids=lambda u: u.id)
+def test_support_grid_integral_matches_full_rule(u):
+    lo, hi = u.support
+    spec = QuadratureSpec()
+    for refine in (0, 1, 2):
+        grid = build_grid(spec, u.support, refine)
+        nodes, weights = _full_rule(spec, u.support, refine)
+        # the grid is the run of the full rule strictly inside the support, node for node
+        inside = (nodes > lo) & (nodes < hi)
+        assert np.array_equal(grid.nodes, nodes[inside]) and np.array_equal(grid.weights, weights[inside])
+        assert _laid_out(spec, u.support, refine) == [_meeting_panels(spec, u.support, refine)]
+        full = u(nodes) ** 2 * np.sinh(nodes) ** 4
+        assert not full[~inside].any()
+        # the two sums of the same products differ by rounding alone: gamma_n * sum |w_i f_i|
+        eps = np.finfo(float).eps / 2
+        gamma = nodes.size * eps / (1.0 - nodes.size * eps)
+        bound = gamma * float(np.sum(np.abs(weights * full)))
+        assert abs(grid.integrate(full[inside]) - float(np.dot(full, weights))) <= bound
+
+
 def _fixed_break(breaks_of, j, hi):
     """hi moved onto break j of ``breaks_of(hi)``, by iterating hi -> breaks_of(hi)[j] (a contraction)."""
     for _ in range(200):
@@ -152,10 +172,7 @@ _HI_ON_BREAK = _fixed_break(lambda hi: _graded_breaks(4, hi + 1.0), 3, 1.0)
 @example((QuadratureSpec(panels=2, nodes_per_panel=5), (0.5, 2.0), 0))
 @example((QuadratureSpec(panels=4, nodes_per_panel=3), (0.5 * _HI_ON_BREAK, _HI_ON_BREAK), 0))
 @example((QuadratureSpec(), Bump(1.0, 1e-13).support, 0))  # inside one panel: the grid is empty
-@example((QuadratureSpec(), load_suite("standard")[-1].support, 2))
-@example((QuadratureSpec(), load_suite("origin")[-1].support, 2))
-@example((QuadratureSpec(), Bump(2.5, 0.5, 1).support, 2))
-def test_support_grid_integral_matches_full_rule(layout):
+def test_support_grid_integral_matches_full_rule_on_drawn_layouts(layout):
     spec, (lo, hi), refine = layout
     grid = build_grid(spec, (lo, hi), refine)
     nodes, weights = _full_rule(spec, (lo, hi), refine)
