@@ -7,15 +7,16 @@ pointwise (both sides from one jet of u) and the two integral estimates that
 the mode argument rests on, and exposes the slack decomposition that rebuilds
 the n = 0 remainder from the three one-dimensional lemmas.
 
-The estimates and slacks are exact coefficient tables over one raw family of
-integrals of v under dr; the lemmas are verifier tables at N = 1 (measure dr,
-Laplacian d^2/dr^2), in one loop.  Each raw integrand is quadratic in
+The estimates, the lemmas and the slacks are exact coefficient tables over one
+raw family of integrals of v under dr.  Each raw integrand is quadratic in
 (v, v', v''), so ``Grid.integrate`` takes it on v, v', v'' over
 s = sinh^{(N-1)/2} r (from d's jet and coth r) under s^2, the measure at N, like
 every radial integral; it is memoised per grid under (d, N) in ``Grid._terms``.
-With ``suite=``, as with the margins, a grid where d misses also takes the family
-of d's suite-mates on its support from one stacked jet; it changes no result.
-The pointwise checks build v's jet by ``to_v_transform``: an independent route.
+The lemmas read the family at N = 1, where s = 1 and v = u: the family of u
+under dr.  With ``suite=``, as with the margins, a grid where d misses also
+takes the family of d's suite-mates on its support from one stacked jet; it
+changes no result.  The pointwise checks build v's jet by ``to_v_transform``:
+an independent route.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from .profiles import RadialProfile
 from .operators import _stacked_jets, laplace_of_jet, to_v_transform
 from .quadrature import QuadratureSpec, _chebyshev, converge_terms
 from .reports import IdentityResidualReport, MarginReport, ordered_sum
-from .verify import _coefficients, _integrals, _mates
+from .verify import _mates
 
 __all__ = [
     "identity_sample_points",
@@ -116,11 +117,11 @@ _RAW = {
     "c4_v2": (lambda t: t.coth**4 * t.v**2, "one"),
 }
 
-# {case: {term: (k, weight, coef)}}: verifier tables at N = 1, where the measure is dr and the Laplacian u''
+# {case: {term: coef}} over ``_RAW``, read at N = 1, where v = u and the measure is dr
 _LEMMAS = {
-    "hardy1d_sinh": {"grad_sinh2": (1, "inv_sinh2", 1), "sinh4": (0, "inv_sinh4", -F(9, 4)), "sinh2": (0, "inv_sinh2", -1)},
-    "hardy1d_hardy": {"grad": (1, "one", 1), "r2": (0, "inv_r2", -F(1, 4))},
-    "hardy1d_rellich": {"lap2": (2, "one", 1), "r4": (0, "inv_r4", -F(9, 16))},
+    "hardy1d_sinh": {"grad_sinh2": 1, "sinh4": -F(9, 4), "sinh2": -1},
+    "hardy1d_hardy": {"grad": 1, "r2": -F(1, 4)},
+    "hardy1d_rellich": {"lap2": 1, "r4": -F(9, 16)},
 }
 
 
@@ -195,8 +196,8 @@ def _estimate2_tables(n: int, N: int) -> tuple[F, dict, dict]:
 def _check_estimate(tables, which, d, n, N, spec, tol, suite) -> IdentityResidualReport:
     _require_dimension(N)
     factor, lhs, rhs = tables(n, N)
-    if not any(factor * c for c in lhs.values()) and not any(rhs.values()):  # estimate2 at N = 1: all carry N - 1
-        raise HypothesisError(f"{which}: every coefficient of the identity vanishes at N = {N}; it certifies nothing")
+    if {k: f for k, c in lhs.items() if (f := factor * c)} == {k: c for k, c in rhs.items() if c}:  # only at N = 1
+        raise HypothesisError(f"{which}: both sides are the same integrals at N = {N}, n = {n}; it certifies nothing")
     vals, _ = _mode_raw_integrals(d, N, spec or QuadratureSpec(), suite)
     lhs, rhs = float(factor) * _combine(vals, lhs), _combine(vals, rhs)  # the factor outside, as stated
     return IdentityResidualReport.from_sides(which, d.id, N, n, lhs, rhs, tol, {"lhs": lhs, "rhs": rhs})
@@ -236,9 +237,8 @@ def check_1d_lemmas(
     int (u')^2       >= (1/4) int u^2/r^2
     int (u'')^2      >= (9/16) int u^2/r^4
     """
-    integrands = {key: (k, weight) for table in _LEMMAS.values() for key, (k, weight, _) in table.items()}
-    vals, errs = _integrals(u, 1, spec or QuadratureSpec(), integrands, suite)
-    return [MarginReport.from_integrals(case, u.id, None, vals, errs, _coefficients(t), tol) for case, t in _LEMMAS.items()]
+    vals, errs = _mode_raw_integrals(u, 1, spec or QuadratureSpec(), suite)
+    return [MarginReport.from_integrals(case, u.id, None, vals, errs, coef, tol) for case, coef in _LEMMAS.items()]
 
 
 def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | None = None) -> dict[str, float]:
@@ -258,7 +258,7 @@ def mode_margin_decomposition(d: RadialProfile, N: int, spec: QuadratureSpec | N
     pieces = {key: float(c[f"c_{key}"]) * vals[key] for key in ("r4", "r2", "sinh4", "sinh2")}
     hardy = poincare_constant(CaseSpec(2, 1, N))
     for lemma, weight in (("rellich", 1), ("hardy", hardy), ("sinh", F((N - 1) * (N - 3), 2))):
-        pieces[f"slack_{lemma}"] = float(weight) * _combine(vals, _coefficients(_LEMMAS[f"hardy1d_{lemma}"]))
+        pieces[f"slack_{lemma}"] = float(weight) * _combine(vals, _LEMMAS[f"hardy1d_{lemma}"])
     recomposed = ordered_sum(pieces.values())
     scale = abs(margin_direct) + abs(recomposed)
     out = {

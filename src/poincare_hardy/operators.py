@@ -48,10 +48,8 @@ def laplace_of_jet(ujet: Jet, coth_full: Jet, N: int) -> Jet:
     if q < 0:
         raise ValueError("need jet order >= 2 to apply the Laplacian")
     du = ujet.shift()
-    second = du.shift()
-    if N == 1:  # the Laplacian on (0, infinity) under dr: no coth term
-        return second
-    return second + coth_full.truncate(q) * du.truncate(q) * float(N - 1)
+    # coth's jet is finite at every r > 0, past r = 710 too: at N = 1 its term is +-0 and the sum is u'' bit for bit
+    return du.shift() + coth_full.truncate(q) * du.truncate(q) * float(N - 1)
 
 
 def to_v_transform(ujet: Jet, N: int, r: np.ndarray) -> Jet:
@@ -82,16 +80,11 @@ def _profile_jets(u: RadialProfile, grid: Grid, order: int) -> tuple[Jet, Jet]:
 def _stacked_jets(group: tuple[RadialProfile, ...], grid: Grid, order: int) -> tuple[Jet, Jet]:
     """The ``_profile_jets`` floats of ``group``'s members on an axis before the nodes, and coth's jet.
 
-    A member r^p * base right after r^q * base, q <= p, takes p - q shifts of that member's jet."""
+    Each member r^p * base takes p shifts of base's shared ``_grid_jet``, as on its own."""
     coef = np.empty((order + 1, len(group), *grid.nodes.shape))
-    last, q, jet = None, 0, None
     for i, u in enumerate(group):
         base, p = u.power_split()
-        if base != last or p < q:
-            q, jet = 0, _grid_jet(base, grid, order)
-        jet = times_power(jet, grid.nodes, p - q)
-        coef[:, i] = jet.coef
-        last, q = base, p
+        coef[:, i] = times_power(_grid_jet(base, grid, order), grid.nodes, p).coef
     return Jet(coef), _grid_jet(_COTH, grid, order)
 
 

@@ -16,9 +16,9 @@ support without 0 <= lo < hi < inf.  A layout only chooses the panel breaks:
   Under the paper's hypotheses (N > 2k, and N > beta + 4 for the weighted
   step) every weight 1/r^{2j} and 1/sinh^4 r times sinh^{N-1} r stays bounded
   at r = 0, so every certified integrand is smooth up to the origin and the
-  plain composite rule converges spectrally.  (The 1-D lemma integrals, at
-  N = 1, are finite only for a u that vanishes at 0 to matching order, and
-  are then smooth as well.)
+  plain composite rule converges spectrally.  (The 1-D lemmas read the raw
+  v-family at N = 1, whose weights reach coth^4 r: it is finite only for a u
+  that vanishes at 0 to matching order, and is then smooth as well.)
 * A support with lo > 0 gets breaks on (0, hi + 1] whose first inner break
   sits at ``1e-6 * (hi + 1)`` and which grow geometrically from there.
 

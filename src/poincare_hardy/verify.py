@@ -11,7 +11,7 @@ margin be nonnegative up to tol * scale with quadrature noise below the same
 gate.  A report can therefore fail either because the inequality is violated
 or because the integrals cannot be trusted at the requested tolerance.  A new
 inequality is one more table.  The 1-D lemmas (``verify --case hardy1d``) are
-three tables at N = 1, where the measure is dr and the Laplacian d^2/dr^2.
+``identities`` tables over its raw v-family at N = 1, where v = u under dr.
 
 Tables of one function share most of their terms: ``rellich``, ``general``
 (2, 0) and ``thm21`` all integrate (Lap u)^2, u^2/r^2 and u^2/r^4.  So each
@@ -85,15 +85,11 @@ def _integrals(u, N, spec, integrands, suite=()):
     return converge_terms(fn, spec, u.support)
 
 
-def _coefficients(table: dict) -> dict:
-    """``{term: coef}`` of a table ``{term: (k, weight, coef)}``."""
-    return {key: c for key, (_, _, c) in table.items()}
-
-
 def _margin(case, u, N, table, spec, tol, suite) -> MarginReport:
     """Evaluate one inequality table ``{term: (k, weight, coef)}`` on u."""
     vals, errs = _integrals(u, N, spec or QuadratureSpec(), {key: (k, w) for key, (k, w, _) in table.items()}, suite)
-    return MarginReport.from_integrals(case, u.id, N, vals, errs, _coefficients(table), tol)
+    coef = {key: c for key, (_, _, c) in table.items()}
+    return MarginReport.from_integrals(case, u.id, N, vals, errs, coef, tol)
 
 
 def _chain_table(case: CaseSpec, top: str, bottom: str) -> dict:

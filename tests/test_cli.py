@@ -511,18 +511,28 @@ def test_dimension_without_a_space_exits_64(argv, capsys):
 
 
 def test_identity_at_n1_still_runs(capsys):
-    for which in ("ph1", "trans1", "estimate1"):
-        code, out, _ = run(["identity", "--which", which, "--N", "1"], capsys)
+    for argv in (["--which", "ph1"], ["--which", "trans1"], ["--which", "estimate1", "--n", "2"]):
+        code, out, _ = run(["identity", *argv, "--N", "1"], capsys)
         assert code == 0
         assert "PASS: 20/20 checks passed" in out
+
+
+def _refused_as_vacuous(which, n, capsys):
+    code, out, err = run(["identity", "--which", which, "--N", "1", "--n", n], capsys)
+    assert (code, out) == (64, "")
+    assert err == f"error: {which}: both sides are the same integrals at N = 1, n = {n}; it certifies nothing\n"
 
 
 @pytest.mark.parametrize("n", ["0", "2"])
 def test_estimate2_at_n1_is_refused_as_vacuous(n, capsys):
     # every coefficient of estimate2 carries a factor N - 1, so both sides are 0 whatever the function
-    code, out, err = run(["identity", "--which", "estimate2", "--N", "1", "--n", n], capsys)
-    assert (code, out) == (64, "")
-    assert err == "error: estimate2: every coefficient of the identity vanishes at N = 1; it certifies nothing\n"
+    _refused_as_vacuous("estimate2", n, capsys)
+
+
+@pytest.mark.parametrize("n", ["0", "1"])
+def test_estimate1_at_n1_and_lambda_0_is_refused_as_vacuous(n, capsys):
+    # lambda_0 = lambda_1 = 0 at N = 1, and then both sides of estimate1 are int v''^2
+    _refused_as_vacuous("estimate1", n, capsys)
 
 
 def test_identity_estimate_with_mode(capsys):

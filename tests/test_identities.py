@@ -25,6 +25,7 @@ from poincare_hardy import (
     load_suite,
     operators,
     quadrature,
+    verify,
 )
 from poincare_hardy.cli import main
 from poincare_hardy.identities import (
@@ -36,9 +37,10 @@ from poincare_hardy.identities import (
     identity_sample_points,
     mode_margin_decomposition,
 )
-from poincare_hardy.jets import coth
-from poincare_hardy.operators import to_v_transform
+from poincare_hardy.jets import coth, coth_jet
+from poincare_hardy.operators import laplace_of_jet, to_v_transform
 from poincare_hardy.quadrature import build_grid
+from poincare_hardy.reports import MarginReport
 
 
 def test_sample_points_inside_support():
@@ -224,6 +226,66 @@ def test_1d_lemmas_margins():
             assert report.margin > 0.0
 
 
+# the lemmas as verifier tables {case: {term: (k, weight, coef)}} at N = 1, where the Laplacian is u''
+_VERIFIER_LEMMAS = {
+    "hardy1d_sinh": {"grad_sinh2": (1, "inv_sinh2", 1), "sinh4": (0, "inv_sinh4", -2.25), "sinh2": (0, "inv_sinh2", -1)},
+    "hardy1d_hardy": {"grad": (1, "one", 1), "r2": (0, "inv_r2", -0.25)},
+    "hardy1d_rellich": {"lap2": (2, "one", 1), "r4": (0, "inv_r4", -0.5625)},
+}
+
+
+@pytest.mark.parametrize(
+    "spec", [QuadratureSpec(), QuadratureSpec(panels=4, nodes_per_panel=16, max_doublings=2)], ids=["default", "coarse"]
+)
+@pytest.mark.parametrize("name", ["standard", "origin"])
+def test_1d_lemmas_read_the_v_family_at_n1_bit_for_bit_with_the_verifier_route(name, spec, monkeypatch):
+    # at N = 1, v = u and the measure is dr: the raw family holds the verifier's N = 1 terms, and no tower is built
+    suite = load_suite(name)
+    builds = []
+    init = operators.RadialTable.__init__
+    monkeypatch.setattr(operators.RadialTable, "__init__", lambda self, *args: builds.append(args) or init(self, *args))
+    reports = [check_1d_lemmas(u, spec, suite=suite) for u in suite]
+    assert builds == []
+    terms = {key: (k, weight) for table in _VERIFIER_LEMMAS.values() for key, (k, weight, _) in table.items()}
+    for u, got in zip(suite, reports):
+        vals, errs = verify._integrals(u, 1, spec, terms)
+        want = [
+            MarginReport.from_integrals(case, u.id, None, vals, errs, {key: c for key, (_, _, c) in table.items()}, 1e-8)
+            for case, table in _VERIFIER_LEMMAS.items()
+        ]
+        assert [r.to_dict() for r in got] == [r.to_dict() for r in want], u.id
+
+
+def test_the_laplacian_at_n1_is_the_second_derivative_past_coth_overflow():
+    # coth's jet is finite past r = 710, so (N - 1) coth u' is +-0 at N = 1 and adds nothing
+    for u in (Bump(2.0, 1.0, 1), Bump(800.0, 1.0)):
+        r = build_grid(QuadratureSpec(), u.support).nodes
+        ujet = u.jet(r, 5)
+        assert np.array_equal(laplace_of_jet(ujet, coth_jet(r, 5), 1).coef, ujet.shift().shift().coef)
+    assert r.min() > 710.0
+
+
+def test_only_the_estimates_whose_sides_are_the_same_integrals_are_refused(monkeypatch):
+    class Integrated(Exception):
+        pass
+
+    def integrate(*args):
+        raise Integrated
+
+    monkeypatch.setattr(identities, "_mode_raw_integrals", integrate)
+    refused = set()
+    for which, check in (("estimate1", check_estimate1), ("estimate2", check_estimate2)):
+        for N in range(1, 21):
+            for n in range(5):
+                try:
+                    check(Bump(2.0, 1.0), n, N)
+                except HypothesisError:
+                    refused.add((which, N, n))
+                except Integrated:
+                    pass
+    assert refused == {("estimate1", 1, 0), ("estimate1", 1, 1), *(("estimate2", 1, n) for n in range(5))}
+
+
 def test_1d_lemmas_need_compact_support():
     from poincare_hardy import ExpDecay
 
@@ -232,7 +294,7 @@ def test_1d_lemmas_need_compact_support():
 
 
 def test_1d_lemmas_on_a_support_past_coth_overflow():
-    # cosh and sinh overflow past r = 710; at N = 1 the Laplacian is u'' and reads no coth
+    # cosh and sinh overflow past r = 710, but coth's jet stays finite there, and the lemmas read it at N = 1
     reports = check_1d_lemmas(Bump(400.0, 330.0))
     assert [r.case for r in reports] == ["hardy1d_sinh", "hardy1d_hardy", "hardy1d_rellich"]
     assert all(r.verdict for r in reports)

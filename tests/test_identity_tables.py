@@ -43,7 +43,6 @@ import sympy
 
 from poincare_hardy import Bump, identities
 from poincare_hardy.constants import CaseSpec, poincare_constant, thm21_constants
-from poincare_hardy.verify import _coefficients
 
 c, r, *_V = sympy.symbols("c r v0:5")  # c = coth r, _V[i] = the i-th derivative of v
 
@@ -155,8 +154,7 @@ def _decomposition(N: int, constants: dict) -> dict:
     direct = {key: f1 * lhs1.get(key, 0) - f2 * lhs2.get(key, 0) for key in {**lhs1, **lhs2}}
     pieces = {"margin_direct": direct, **{key: {key: constants[f"c_{key}"]} for key in _REMAINDERS}}
     for lemma, weight in _slack_weights(N).items():
-        table = _coefficients(identities._LEMMAS[f"hardy1d_{lemma}"])
-        pieces[f"slack_{lemma}"] = {key: weight * k for key, k in table.items()}
+        pieces[f"slack_{lemma}"] = {key: weight * k for key, k in identities._LEMMAS[f"hardy1d_{lemma}"].items()}
     return pieces
 
 

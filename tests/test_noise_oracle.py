@@ -5,10 +5,10 @@ the per-term errors that the panel-doubling loop reports.  Here each of those
 errors is checked against the true error of its integral, computed with
 ``mpmath.quad`` on the bump's closed form and its first two derivatives.
 Three families are covered: the verifier's terms under the hyperbolic
-measure, the 1-D lemma terms of ``identities`` under dr, which are the
-verifier's terms at N = 1 (measure 1, Laplacian u''), and the raw v-family
-behind the estimate identities, v = sinh^{(N-1)/2} u, with v, v' and v''
-taken from u's closed form by the product rule.
+measure, the 1-D lemma terms of ``identities`` under dr, which it reads from
+the raw v-family at N = 1, where v = u, and that raw v-family behind the
+estimate identities, v = sinh^{(N-1)/2} u, with v, v' and v'' taken from u's
+closed form by the product rule.
 """
 
 import functools
@@ -30,7 +30,7 @@ TERMS = {
     "grad": (1, "one"),
 }
 
-# the 1-D lemma terms by their ``identities`` names; "lap2" is u''^2, the N = 1 Laplacian squared
+# the 1-D lemma terms by their ``identities._RAW`` names, as |u^(k)|^2 * weight: at N = 1, v = u
 LEMMA_TERMS = {
     "grad_sinh2": (1, "inv_sinh2"),
     "sinh4": (0, "inv_sinh4"),
@@ -138,7 +138,7 @@ def test_noise_bounds_the_true_error(u, N, spec):
 
 @pytest.mark.parametrize("u, spec", [(u, spec) for u, _, spec in MEMBERS], ids=[u.id for u, _, _ in MEMBERS])
 def test_lemma_noise_bounds_the_true_error(u, spec):
-    vals, errs = _integrals(u, 1, spec, LEMMA_TERMS)
+    vals, errs = identities._mode_raw_integrals(u, 1, spec)
     _assert_bounded(vals, errs, _reference(u, LEMMA_TERMS, lambda r: 1))
 
 
