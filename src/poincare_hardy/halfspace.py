@@ -14,10 +14,12 @@ The two remainders "d2" and "d4" converge in a doubling loop of their own,
 run before the one-dimensional terms, so a 1-D term that needs a finer grid
 never rebuilds the field.  That loop stops once both change by at most
 ``rel_tol * max(|d2|, |d4|)``, a stricter scale than the family's largest
-term.  The field is built and contracted one block of rows at a time and
-never held whole; rows and columns with weight exactly 0 are skipped, and a
-grid over ``_FIELD_POINTS`` points is refused before any block is built (the
-first grid's size is checked before that grid is built).
+term.  The field is built and contracted one block of rows at a time, in
+one buffer that every block reuses, so it is never held whole; cosh d is a
+rank-2 product of row and column factors, one ``matmul`` per block.  Rows
+and columns with weight exactly 0 are skipped, and a grid over
+``_FIELD_POINTS`` points is refused before any block is built (the first
+grid's size is checked before that grid is built).
 """
 
 from __future__ import annotations
@@ -67,16 +69,6 @@ def geodesic_distance(p: HalfspacePoint) -> float:
     return math.acosh(1.0 + ((p.y - 1.0) ** 2 + p.rho**2) / (2.0 * p.y))
 
 
-def _inverse_distance_sq(rho: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """d^-2 on the tensor points rho x y, built in place in one (n_rho, n_y) array."""
-    field = np.add.outer(rho**2, (y - 1.0) ** 2)
-    field /= 2.0 * y
-    field += 1.0
-    np.arccosh(field, out=field)
-    field *= field
-    return np.reciprocal(field, out=field)
-
-
 # points of the distance field built at once, and the most one field may have
 # (16384^2, which would be 2 GiB held whole)
 _FIELD_BLOCK = 1 << 16
@@ -98,18 +90,26 @@ def _field_integrals(grid: PlaneGrid, rows: np.ndarray, cols: np.ndarray, block:
 
     Rows and columns whose weight is exactly 0 are never evaluated.  The rest
     of the field is built in blocks of whole rows, about ``block`` points
-    each, and each block is summed against the column weights, then squared
-    in place and summed again.  Every field entry is the one a whole field
-    holds; only the order of the sums differs.
+    each, in one reused buffer: cosh d = rho^2 h + c, with h = 1/(2y) and
+    c = 1 + (y - 1)^2 h, is one ``matmul`` of the rows' [rho^2, 1] by the
+    columns' [h; c].  Each block becomes d^-2 in place, is summed against the
+    column weights, then squared in place and summed again.
     """
     wr, wy = grid.wr * rows, grid.wy * cols
     keep_r, keep_y = np.flatnonzero(wr), np.flatnonzero(wy)
     rho, wr, y, wy = grid.rho[keep_r], wr[keep_r], grid.y[keep_y], wy[keep_y]
+    h = 0.5 / y
+    left, right = np.stack([rho**2, np.ones_like(rho)], axis=1), np.stack([h, 1.0 + (y - 1.0) ** 2 * h])
     d2, d4 = np.empty(rho.size), np.empty(rho.size)
     step = max(1, block // max(1, y.size))
+    buffer = np.empty((min(step, rho.size), y.size))
     for start in range(0, rho.size, step):
         part = slice(start, start + step)
-        field = _inverse_distance_sq(rho[part], y)
+        field = buffer[: d2[part].size]
+        np.matmul(left[part], right, out=field)
+        np.arccosh(field, out=field)
+        field *= field
+        np.reciprocal(field, out=field)
         d2[part] = field @ wy
         field *= field
         d4[part] = field @ wy

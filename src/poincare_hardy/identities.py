@@ -11,7 +11,7 @@ The estimates, the lemmas and the slacks are exact coefficient tables over one
 raw family of integrals of v under dr.  Each raw integrand is quadratic in
 (v, v', v''), so ``Grid.integrate`` takes it on v, v', v'' over
 s = sinh^{(N-1)/2} r (from d's jet and coth r) under s^2, the measure at N, like
-every radial integral; it is memoised per grid under (d, N) in ``Grid._terms``.
+every radial integral; the keys read are memoised per grid under (d, N, keys) in ``Grid._terms``.
 The lemmas read the family at N = 1, where s = 1 and v = u: the family of u
 under dr.  With ``suite=``, as with the margins, a grid where d misses also
 takes the family of d's suite-mates on its support from one stacked jet; it
@@ -125,23 +125,23 @@ _LEMMAS = {
 }
 
 
-def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec, suite=()):
-    """Every ``_RAW`` integral of v = sinh^{(N-1)/2} d, zero outside d's support; none depends on the mode n.
+def _mode_raw_integrals(d: RadialProfile, N: int, spec: QuadratureSpec, suite=(), keys=tuple(_RAW)):
+    """The ``keys`` of ``_RAW`` integrated on v = sinh^{(N-1)/2} d, zero outside d's support; none depends on n.
 
-    Memoised per grid under (d, N), so callers share the returned dicts and must not change them.
+    Memoised per grid under (d, N, keys), so callers share the returned dicts and must not change them.
     """
     a = (N - 1) / 2.0  # s = sinh^a r has s' = a coth(r) s and s'' = (a (a - 1) coth^2 r + a) s
     def terms(grid):
         memo = grid._terms
-        if (d, N) not in memo:
-            group = _mates(d, suite, lambda v: (v, N) not in memo)
+        if (d, N, keys) not in memo:
+            group = _mates(d, suite, lambda v: (v, N, keys) not in memo)
             djet, cjet = _stacked_jets(group, grid, 2)  # (members, nodes) jets; cjet is coth's
             f, df, c = djet.value(), djet.derivative(1), cjet.value()
             ddv = djet.derivative(2) + 2 * a * c * df + (a * (a - 1) * c**2 + a) * f
             t = SimpleNamespace(v=f, dv=df + a * c * f, ddv=ddv, coth=c)
-            sums = {key: grid.integrate(integrand(t), weight, N) for key, (integrand, weight) in _RAW.items()}
-            memo.update({(v, N): {key: s[i] for key, s in sums.items()} for i, v in enumerate(group)})
-        return memo[d, N]
+            sums = {key: grid.integrate(_RAW[key][0](t), _RAW[key][1], N) for key in keys}
+            memo.update({(v, N, keys): {key: s[i] for key, s in sums.items()} for i, v in enumerate(group)})
+        return memo[d, N, keys]
 
     return converge_terms(terms, spec, d.support)
 
@@ -237,7 +237,7 @@ def check_1d_lemmas(
     int (u')^2       >= (1/4) int u^2/r^2
     int (u'')^2      >= (9/16) int u^2/r^4
     """
-    vals, errs = _mode_raw_integrals(u, 1, spec or QuadratureSpec(), suite)
+    vals, errs = _mode_raw_integrals(u, 1, spec or QuadratureSpec(), suite, tuple(k for c in _LEMMAS.values() for k in c))
     return [MarginReport.from_integrals(case, u.id, None, vals, errs, coef, tol) for case, coef in _LEMMAS.items()]
 
 

@@ -95,7 +95,7 @@ class Grid:
 
     ``_terms`` memoises the integrals already taken on this grid: a verifier
     term under (u, N, k, weight) (see ``verify._integrals``) and the raw
-    v-family of d under (d, N) (see ``identities._mode_raw_integrals``).
+    v-family of d under (d, N, keys) (see ``identities._mode_raw_integrals``).
     """
 
     __slots__ = ("nodes", "weights", "_terms")

@@ -24,7 +24,7 @@ them, are the same whatever depth the table was built with.  A term is
 stored only once every term of its evaluation is in, so a refused measure
 (see ``quadrature.Grid.integrate``) leaves nothing behind.  The memo lives on
 the grid, so it is bounded by the grid cache and dies with the grid; the
-identities' raw v-family shares it under (d, N).
+identities' raw v-family shares it under (d, N, keys).
 
 A margin's keyword-only ``suite`` makes a grid where u misses also take the missing
 terms of u's suite-mates on its support, in that update, from one stacked table: same floats.

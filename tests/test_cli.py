@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, formats, determinism, output routing."""
 
 import json
+import os
 import subprocess
 import sys
 
@@ -178,7 +179,7 @@ def _out_of_memory(*args, **kwargs):
 @pytest.mark.parametrize(
     "argv, module, attr",
     [
-        (["halfspace", "--which", "rellich1"], "poincare_hardy.halfspace", "_inverse_distance_sq"),
+        (["halfspace", "--which", "rellich1"], "poincare_hardy.halfspace", "_field_integrals"),
         (["verify", "--case", "thm21", "--N", "5"], "poincare_hardy.quadrature.Grid", "integrate"),
     ],
     ids=["halfspace", "verify"],
@@ -586,3 +587,16 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert "hardy" in proc.stdout
+
+
+def test_halfspace_json_does_not_depend_on_blas_threads():
+    # the distance field's blocks are BLAS products; one thread or two must print the same bytes
+    argv = [sys.executable, "-m", "poincare_hardy", "halfspace", "--which", "rellich1", "--suite", "pole", "--format", "json"]
+    outs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+        proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])

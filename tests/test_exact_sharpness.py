@@ -35,6 +35,7 @@ _QUOTIENTS = {
     (2, 0, 5): a**2 * (7 * a**2 - 16) / 3,
     (2, 1, 6): (8 * a**2 - 25) / 4,
     (3, 2, 7): (33 * a**4 - 284 * a**2 + 288) / (9 * (a**2 - 4)),
+    (4, 1, 9): (715 * a**6 - 14976 * a**4 + 67840 * a**2 - 36864) / 35,
 }
 
 

@@ -1,6 +1,7 @@
 """Half-space corollaries: distance, margins against a trapezoid oracle, pf identities."""
 
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -25,7 +26,6 @@ from poincare_hardy.halfspace import (
     _FIELD_BLOCK,
     _PlaneTable,
     _field_integrals,
-    _inverse_distance_sq,
     _plane_integrals,
     build_plane_grid,
     converge_plane_terms,
@@ -150,6 +150,11 @@ def test_separable_terms_match_tensor_integrand(which, suite, monkeypatch):
             assert abs(got[key] - value) <= 1e-13 * abs(value), (grid.rho.size, key)
 
 
+def _dense_inverse_distance_sq(rho, y):
+    # d^-2 on the whole tensor grid, with d = arccosh(1 + ((y - 1)^2 + rho^2)/(2y))
+    return 1.0 / np.arccosh(1.0 + np.add.outer(rho**2, (y - 1.0) ** 2) / (2.0 * y)) ** 2
+
+
 @pytest.mark.parametrize("suite", ["standard", "pole"])
 def test_field_kernel_matches_dense_contraction(suite):
     # the blocked sums that skip zero-weight rows and columns against the whole field at once
@@ -159,7 +164,7 @@ def test_field_kernel_matches_dense_contraction(suite):
             grid = build_plane_grid(spec, v.box, refine)
             t = _PlaneTable(v, N, grid.rho, grid.y)
             rows, cols = t.p**2 * grid.rho ** (N - 2), t.q**2 * grid.y**-2.0
-            field = _inverse_distance_sq(grid.rho, grid.y)
+            field = _dense_inverse_distance_sq(grid.rho, grid.y)
             want = (grid.integrate(field, rows, cols), grid.integrate(field * field, rows, cols))
             kept_rows, kept_cols = np.count_nonzero(grid.wr * rows), np.count_nonzero(grid.wy * cols)
             # the default block, a block shorter than one row, and a block of
@@ -180,17 +185,32 @@ def test_field_loop_stops_before_the_1d_terms(monkeypatch):
         grids.append(grid.rho.size)
         return grid
 
-    def counted(rho, y):
-        fields.append(y.size)
-        return _inverse_distance_sq(rho, y)
+    def counted(grid, rows, cols, *args):
+        fields.append(np.count_nonzero(grid.wy * cols))  # the columns every block of this field has
+        return _field_integrals(grid, rows, cols, *args)
 
     monkeypatch.setattr(halfspace, "build_plane_grid", recorded)
-    monkeypatch.setattr(halfspace, "_inverse_distance_sq", counted)
+    monkeypatch.setattr(halfspace, "_field_integrals", counted)
     v = next(v for v in halfspace_suite("standard") if v.id == "bump_c1.5_w0.5_p0|bump_c1.0_w0.5_p0")
     assert margin_halfspace("rellich1", v, 5).verdict
     # the field loop runs first and stops at 512^2; then the 1-D loop reaches 1024^2
     assert grids == [256, 512, 256, 512, 1024]
     assert 256 < max(fields) <= 512
+
+
+def test_field_kernel_holds_one_block_at_a_time():
+    # one reused block buffer plus the per-row and per-column factors, never a fresh block per block
+    N, spec, v = 5, PlaneQuadratureSpec(), halfspace_suite("pole")[0]
+    for refine in (1, 2):
+        grid = build_plane_grid(spec, v.box, refine)
+        rows, cols = v.phi(grid.rho) ** 2 * grid.rho ** (N - 2), v.psi(grid.y) ** 2 * grid.y**-2.0
+        tracemalloc.start()
+        try:
+            _field_integrals(grid, rows, cols)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * _FIELD_BLOCK * 8, (grid.rho.size, peak)
 
 
 def test_field_terms_match_mpmath_oracle():

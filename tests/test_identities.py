@@ -121,6 +121,18 @@ def test_mode_integrals_are_taken_once_per_grid_for_both_estimates_and_modes(mon
     assert set(Counter(grids).values()) == {len(identities._RAW)}
 
 
+def test_1d_lemmas_integrate_only_their_terms_and_leave_the_family_whole(monkeypatch):
+    # hardy1d reads 7 raw integrals per grid; estimate1 at N = 1 on the same grids still gets all of them
+    grids = []
+    integrate = quadrature.Grid.integrate
+    monkeypatch.setattr(quadrature.Grid, "integrate", lambda self, *args: grids.append(id(self)) or integrate(self, *args))
+    assert main(["verify", "--case", "hardy1d", "--format", "json"]) == 0
+    assert grids and set(Counter(grids).values()) == {7}
+    grids.clear()
+    assert main(["identity", "--which", "estimate1", "--N", "1", "--n", "2", "--format", "json"]) == 0
+    assert grids and set(Counter(grids).values()) == {len(identities._RAW)}
+
+
 def test_estimates_of_every_dimension_read_one_profile_jet_per_grid(monkeypatch):
     # v = sinh^{(N-1)/2} d depends on N, d's jet does not: N = 5, 7 and 9 share it on each grid
     sizes = []
