@@ -10,20 +10,37 @@ integral is a sum of products of one-dimensional Gauss-Legendre integrals,
 one in rho^{N-2} drho and one in dy.  Only the distance-sharpened remainders
 are two-dimensional: they share one field d^-2 on the tensor grid.
 
-The two remainders "d2" and "d4" converge in a doubling loop of their own,
-run before the one-dimensional terms, so a 1-D term that needs a finer grid
-never rebuilds the field.  That loop stops once both change by at most
-``rel_tol * max(|d2|, |d4|)``, a stricter scale than the family's largest
-term.  The field is built and contracted one block of rows at a time, in
-one buffer that every block reuses, so it is never held whole; cosh d is a
-rank-2 product of row and column factors, one ``matmul`` per block.  Rows
-and columns with weight exactly 0 are skipped, and a grid over
+``build_plane_grid`` caches its grids (64 of them, keyed by spec, box and
+refine), so both doubling loops of a margin, and every later check on the
+same box, walk the same ``PlaneGrid`` objects.  Each grid memoises in
+``_terms``, per member v, what does not depend on N or on the check: the
+order-2 jets of phi and psi, and the distance field's per-row sums.  The
+memo lives on the grid, so it goes when the cache drops the grid; an entry
+is stored only once it is complete, so a raise leaves nothing behind.
+
+The remainders "d2" and "d4", the integrals of v^2 y^-p d^-2 and
+v^2 y^-p d^-4, differ between N and between ``rellich1`` (p = 2) and
+``rellich2`` (p = 4) only in the row weight wr phi^2 rho^{N-2} and in the
+column power y^-p.  So one field per (member, grid) serves all of them: every
+row is summed over y against the two columns wy psi^2 y^-2 and wy psi^2 y^-4,
+for d^-2 and for d^-4, and the N-dependent row weight is applied when the
+sums are read.  The field is built and contracted one block of rows at a
+time, in one buffer that every block reuses, so it is never held whole;
+cosh d is a rank-2 product of row and column factors, one ``matmul`` per
+block.  Rows and columns with weight exactly 0 are skipped, and a grid over
 ``_FIELD_POINTS`` points is refused before any block is built (the first
 grid's size is checked before that grid is built).
+
+"d2" and "d4" converge in a doubling loop of their own, run before the one
+with the one-dimensional terms, so a 1-D term that needs a finer grid never
+builds another field.  That loop stops once both change by at most
+``rel_tol * max(|d2|, |d4|)``, a stricter scale than the family's largest
+term.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction as F
@@ -86,34 +103,39 @@ def _require_field_fits(n_rho: int, n_y: int) -> None:
 
 
 def _field_integrals(grid: PlaneGrid, rows: np.ndarray, cols: np.ndarray, block: int = _FIELD_BLOCK):
-    """``grid.integrate`` of d^-2 and of d^-4 times ``rows`` and ``cols``, as (d2, d4).
+    """Per-row sums over y of d^-2 and of d^-4 against each column of ``wy * cols``, as (keep_r, d2, d4).
 
-    Rows and columns whose weight is exactly 0 are never evaluated.  The rest
-    of the field is built in blocks of whole rows, about ``block`` points
-    each, in one reused buffer: cosh d = rho^2 h + c, with h = 1/(2y) and
-    c = 1 + (y - 1)^2 h, is one ``matmul`` of the rows' [rho^2, 1] by the
-    columns' [h; c].  Each block becomes d^-2 in place, is summed against the
-    column weights, then squared in place and summed again.
+    ``cols`` is (n_y, k); ``keep_r`` indexes the rows where ``rows`` is
+    nonzero, and d2, d4 are their (len(keep_r), k) sums, so
+    ``grid.integrate`` of d^-2 times ``rows`` and column j is
+    ``(grid.wr * rows)[keep_r] @ d2[:, j]``.  Rows left out and columns whose
+    weights are all exactly 0 are never evaluated.  The rest of the field is
+    built in blocks of whole rows, about ``block`` points each, in one reused
+    buffer: cosh d = rho^2 h + c, with h = 1/(2y) and c = 1 + (y - 1)^2 h, is
+    one ``matmul`` of the rows' [rho^2, 1] by the columns' [h; c].  Each block
+    becomes d^-2 in place, is summed against the column weights in one
+    product (their Fortran order keeps it as fast as one column), then is
+    squared in place and summed again.
     """
-    wr, wy = grid.wr * rows, grid.wy * cols
-    keep_r, keep_y = np.flatnonzero(wr), np.flatnonzero(wy)
-    rho, wr, y, wy = grid.rho[keep_r], wr[keep_r], grid.y[keep_y], wy[keep_y]
+    w = grid.wy[:, None] * cols
+    keep_r, keep_y = np.flatnonzero(rows), np.flatnonzero(w.any(axis=1))
+    rho, y, w = grid.rho[keep_r], grid.y[keep_y], np.asfortranarray(w[keep_y])
     h = 0.5 / y
     left, right = np.stack([rho**2, np.ones_like(rho)], axis=1), np.stack([h, 1.0 + (y - 1.0) ** 2 * h])
-    d2, d4 = np.empty(rho.size), np.empty(rho.size)
+    d2, d4 = np.empty((2, rho.size, w.shape[1]))
     step = max(1, block // max(1, y.size))
     buffer = np.empty((min(step, rho.size), y.size))
     for start in range(0, rho.size, step):
         part = slice(start, start + step)
-        field = buffer[: d2[part].size]
+        field = buffer[: len(d2[part])]
         np.matmul(left[part], right, out=field)
         np.arccosh(field, out=field)
         field *= field
         np.reciprocal(field, out=field)
-        d2[part] = field @ wy
+        np.matmul(field, w, out=d2[part])
         field *= field
-        d4[part] = field @ wy
-    return float(wr @ d2), float(wr @ d4)
+        np.matmul(field, w, out=d4[part])
+    return keep_r, d2, d4
 
 
 @dataclass(frozen=True)
@@ -153,26 +175,39 @@ class PlaneQuadratureSpec(QuadratureSpec):
     max_doublings: int = 2
 
 
-@dataclass(frozen=True, slots=True)
 class PlaneGrid:
-    """Tensor rule on [0, rho_hi] x [y_lo, y_hi]: one composite Gauss-Legendre rule per axis."""
+    """Tensor rule on [0, rho_hi] x [y_lo, y_hi]: one composite Gauss-Legendre rule per axis.
 
-    rho: np.ndarray
-    wr: np.ndarray
-    y: np.ndarray
-    wy: np.ndarray
+    ``_terms`` memoises per member v what every check on this grid shares:
+    its jets under (v, "jets") and its distance field's per-row sums under
+    (v, "field") (see the module docstring).
+    """
+
+    __slots__ = ("rho", "wr", "y", "wy", "_terms")
+
+    def __init__(self, rho: np.ndarray, wr: np.ndarray, y: np.ndarray, wy: np.ndarray):
+        self.rho, self.wr, self.y, self.wy = rho, wr, y, wy
+        self._terms = {}
 
     def integrate(self, values: np.ndarray, rows=1.0, cols=1.0) -> float:
         """Tensor sum of an (n_rho, n_y) array times ``rows`` (over rho) and ``cols`` (over y)."""
         return float((self.wr * rows) @ values @ (self.wy * cols))
 
 
+@functools.lru_cache(maxsize=64)
 def build_plane_grid(spec: PlaneQuadratureSpec, box: tuple[float, float, float], refine: int = 0) -> PlaneGrid:
     rho_hi, y_lo, y_hi = box
     panels = spec.panels * (1 << refine)
     rho, wr = _panel_rule(np.linspace(0.0, rho_hi, panels + 1), spec.nodes_per_panel)
     y, wy = _panel_rule(np.linspace(y_lo, y_hi, panels + 1), spec.nodes_per_panel)
     return PlaneGrid(rho, wr, y, wy)
+
+
+def _memo(grid: PlaneGrid, key, make):
+    """``grid._terms[key]``, stored from ``make()`` on a miss; a raise stores nothing."""
+    if key not in grid._terms:
+        grid._terms[key] = make()
+    return grid._terms[key]
 
 
 def converge_plane_terms(fn, spec: PlaneQuadratureSpec, box):
@@ -189,15 +224,26 @@ def _require_plane(N: int) -> None:
         raise HypothesisError(f"requires N >= 2, got N={N}")
 
 
-class _PlaneTable:
-    """The 1-D jets of phi on the rho nodes and of psi on the y nodes, shared by all integrands."""
+def _jets(v: SeparableTestFunction, rho: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(phi, phi', phi'') on the rho nodes and (psi, psi', psi'') on the y nodes."""
+    pj, qj = v.phi.jet(rho, 2), v.psi.jet(y, 2)
+    return pj.value(), pj.derivative(1), pj.derivative(2), qj.value(), qj.derivative(1), qj.derivative(2)
 
-    def __init__(self, v: SeparableTestFunction, N: int, rho: np.ndarray, y: np.ndarray):
-        pj = v.phi.jet(rho, 2)
-        qj = v.psi.jet(y, 2)
-        self.p, self.p1 = pj.value(), pj.derivative(1)
-        self.lap_x = pj.derivative(2) + (N - 2) * self.p1 / rho  # Laplacian of phi(|x|) on R^{N-1}
-        self.q, self.q1, self.q2 = qj.value(), qj.derivative(1), qj.derivative(2)
+
+def _grid_jets(grid: PlaneGrid, v: SeparableTestFunction) -> tuple[np.ndarray, ...]:
+    """``_jets`` of v on the grid's nodes, memoised on the grid."""
+    return _memo(grid, (v, "jets"), lambda: _jets(v, grid.rho, grid.y))
+
+
+class _PlaneTable:
+    """The 1-D jets of phi on the rho nodes and of psi on the y nodes, shared by all integrands.
+
+    ``jets`` are ``_jets(v, rho, y)`` when the caller already has them.
+    """
+
+    def __init__(self, v: SeparableTestFunction, N: int, rho: np.ndarray, y: np.ndarray, jets=None):
+        self.p, self.p1, p2, self.q, self.q1, self.q2 = jets or _jets(v, rho, y)
+        self.lap_x = p2 + (N - 2) * self.p1 / rho  # Laplacian of phi(|x|) on R^{N-1}
         self.y = y
 
 
@@ -208,6 +254,16 @@ def _grad_sq(t, w):
 
 def _lap_sq(t, w):
     return [(t.lap_x**2, w * t.q**2), (2.0 * t.lap_x * t.p, w * t.q * t.q2), (t.p**2, w * t.q2**2)]
+
+
+# the column powers p of every field's sums: y^-2 for rellich1, y^-4 for rellich2
+_Y_POWERS = (2.0, 4.0)
+
+
+def _member_field(grid: PlaneGrid, v: SeparableTestFunction):
+    """``_field_integrals`` of v on the grid: rows phi^2, one column psi^2 y^-p per p in ``_Y_POWERS``."""
+    p, _, _, q, _, _ = _grid_jets(grid, v)
+    return _field_integrals(grid, p**2, np.stack([q**2 * grid.y**-power for power in _Y_POWERS], axis=1))
 
 
 # a huge N overflows rho^{N-2} to inf or nan; from_integrals turns that into a numerical failure
@@ -223,12 +279,13 @@ def _plane_integrals(v, N, spec, integrands, y_power=None):
 
     def field(grid):
         _require_field_fits(grid.rho.size, grid.y.size)
-        rows, cols = v.phi(grid.rho) ** 2 * grid.rho ** (N - 2), v.psi(grid.y) ** 2 * grid.y ** -float(y_power)
-        d2, d4 = _field_integrals(grid, rows, cols)
-        return {"d2": d2, "d4": d4}
+        keep_r, d2, d4 = _memo(grid, (v, "field"), lambda: _member_field(grid, v))
+        p, col = _grid_jets(grid, v)[0][keep_r], _Y_POWERS.index(y_power)
+        wr = grid.wr[keep_r] * (p**2 * grid.rho[keep_r] ** (N - 2))
+        return {"d2": float(wr @ d2[:, col]), "d4": float(wr @ d4[:, col])}
 
     def fn(grid):
-        t = _PlaneTable(v, N, grid.rho, grid.y)
+        t = _PlaneTable(v, N, grid.rho, grid.y, _grid_jets(grid, v))
         wr = grid.wr * grid.rho ** (N - 2)
         return {key: ordered_sum(float(wr @ a) * float(grid.wy @ b) for a, b in make(t)) for key, make in integrands.items()}
 

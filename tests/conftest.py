@@ -6,7 +6,7 @@ or doubling loops would otherwise depend on which tests ran before it.
 
 import pytest
 
-from poincare_hardy import constants, operators, quadrature
+from poincare_hardy import constants, halfspace, operators, quadrature
 
 _CACHES = (
     quadrature._cached_grid,  # each grid owns its term memo, so this clears that too
@@ -14,6 +14,7 @@ _CACHES = (
     operators._grid_jet,
     operators.radial_table,
     constants.chain_replay,
+    halfspace.build_plane_grid,  # each plane grid owns its jet and field memo, so this clears that too
 )
 
 

@@ -100,6 +100,23 @@ def test_nonfinite_margin_term_exits_2(fmt, capsys):
     )
 
 
+def test_memoised_fields_keep_the_overflow_and_the_size_refusal(capsys, monkeypatch):
+    # N = 5 memoises every member's jets and field; N = 1000 reads them and still overflows rho^{N-2},
+    # and an oversized field is still refused before its grid is built
+    assert run(["halfspace", "--which", "rellich1", "--N", "5"], capsys)[0] == 0
+    assert run(["halfspace", "--which", "rellich1", "--N", "1000"], capsys) == (
+        2,
+        "",
+        "numerical failure: halfspace_rellich1 on bump_c2.0_w1.0_p1|bump_c0.8_w0.3_p0: a term integral is not finite\n",
+    )
+    built = []
+    build = halfspace.build_plane_grid
+    monkeypatch.setattr(halfspace, "build_plane_grid", lambda *args: built.append(args) or build(*args))
+    code, out, err = run(["halfspace", "--which", "rellich1", "--N", "5", "--panels", "100000"], capsys)
+    assert (built, code, out) == ([], 2, "")
+    assert err.startswith("numerical failure: the distance field on 3200000 x 3200000 nodes")
+
+
 def _measure_overflow(p: int) -> str:
     """The measure's refusal, as ``quadrature.weight_values`` words it for sinh^p: at the largest refine-0
     node of the first `standard` member whose grid reaches past 690/p."""

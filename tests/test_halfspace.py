@@ -155,25 +155,31 @@ def _dense_inverse_distance_sq(rho, y):
     return 1.0 / np.arccosh(1.0 + np.add.outer(rho**2, (y - 1.0) ** 2) / (2.0 * y)) ** 2
 
 
+def _field_weights(t, grid, N):
+    # the kernel's rows phi^2 rho^{N-2} and its columns psi^2 y^-2 (rellich1) and psi^2 y^-4 (rellich2)
+    return t.p**2 * grid.rho ** (N - 2), np.stack([t.q**2 * grid.y**-2.0, t.q**2 * grid.y**-4.0], axis=1)
+
+
 @pytest.mark.parametrize("suite", ["standard", "pole"])
 def test_field_kernel_matches_dense_contraction(suite):
-    # the blocked sums that skip zero-weight rows and columns against the whole field at once
+    # the blocked per-row sums, over the rows and columns of nonzero weight, against the whole field at once
     N, spec = 5, PlaneQuadratureSpec()
     for v in halfspace_suite(suite):
         for refine in (0, 1):
             grid = build_plane_grid(spec, v.box, refine)
-            t = _PlaneTable(v, N, grid.rho, grid.y)
-            rows, cols = t.p**2 * grid.rho ** (N - 2), t.q**2 * grid.y**-2.0
+            rows, cols = _field_weights(_PlaneTable(v, N, grid.rho, grid.y), grid, N)
             field = _dense_inverse_distance_sq(grid.rho, grid.y)
-            want = (grid.integrate(field, rows, cols), grid.integrate(field * field, rows, cols))
-            kept_rows, kept_cols = np.count_nonzero(grid.wr * rows), np.count_nonzero(grid.wy * cols)
+            want = [[grid.integrate(f, rows, col) for col in cols.T] for f in (field, field * field)]
+            kept_rows, kept_cols = np.count_nonzero(grid.wr * rows), np.count_nonzero(grid.wy * cols[:, 0])
             # the default block, a block shorter than one row, and a block of
             # whole rows that does not divide the rows kept
             step = next(k for k in (7, 5, 3) if kept_rows % k)
             for block in (_FIELD_BLOCK, kept_cols // 2, step * kept_cols):
-                got = _field_integrals(grid, rows, cols, block)
-                for g, w in zip(got, want):
-                    assert abs(g - w) <= 1e-14 * abs(w), (v.id, refine, block)
+                keep_r, *sums = _field_integrals(grid, rows, cols, block)
+                wr = (grid.wr * rows)[keep_r]
+                for got, want_cols in zip(sums, want):
+                    for j, w in enumerate(want_cols):
+                        assert abs(wr @ got[:, j] - w) <= 1e-14 * abs(w), (v.id, refine, block, j)
 
 
 def test_field_loop_stops_before_the_1d_terms(monkeypatch):
@@ -186,7 +192,7 @@ def test_field_loop_stops_before_the_1d_terms(monkeypatch):
         return grid
 
     def counted(grid, rows, cols, *args):
-        fields.append(np.count_nonzero(grid.wy * cols))  # the columns every block of this field has
+        fields.append(np.count_nonzero(grid.wy * cols[:, 0]))  # the columns every block of this field has
         return _field_integrals(grid, rows, cols, *args)
 
     monkeypatch.setattr(halfspace, "build_plane_grid", recorded)
@@ -198,12 +204,66 @@ def test_field_loop_stops_before_the_1d_terms(monkeypatch):
     assert 256 < max(fields) <= 512
 
 
+@pytest.mark.parametrize("suite", ["standard", "pole"])
+def test_one_field_per_member_and_grid_serves_both_weights_and_every_n(suite, clear_caches, monkeypatch):
+    # the per-row sums of the field do not depend on N or on the weight y^-2 / y^-4: in either order the
+    # four margins build each (member, grid level) field once, and every report is the same bit for bit
+    built = []
+
+    def counted(grid, rows, cols, *args):
+        built.append((grid.rho.size, rows.tobytes(), cols.tobytes()))  # one grid level of one member
+        return _field_integrals(grid, rows, cols, *args)
+
+    monkeypatch.setattr(halfspace, "_field_integrals", counted)
+    members = halfspace_suite(suite)
+    calls = [(which, N) for N in (5, 6) for which in ("rellich1", "rellich2")]
+    reports, fields = [], []
+    for order in (calls, calls[::-1]):
+        clear_caches()
+        built.clear()
+        reports.append({(w, N, v.id): repr(margin_halfspace(w, v, N).to_dict()) for w, N in order for v in members})
+        assert len(set(built)) == len(built) >= 2 * len(members), order
+        fields.append(set(built))
+    assert reports[0] == reports[1]
+    assert fields[0] == fields[1]
+
+
+def test_members_on_one_box_share_grids_not_fields(clear_caches):
+    # the memo is keyed by the member: a second member on the same grids builds its own field and jets
+    a = SeparableTestFunction(Bump(0.0, 1.0), Bump(2.0, 1.0))
+    b = SeparableTestFunction(Bump(0.0, 1.0, 2), Bump(2.0, 1.0, 2))
+    assert a.box == b.box
+    margin_halfspace("rellich1", a, 5)
+    after_a = margin_halfspace("rellich1", b, 5).to_dict()
+    clear_caches()
+    assert repr(after_a) == repr(margin_halfspace("rellich1", b, 5).to_dict())
+
+
+def test_a_failed_field_is_not_memoised(clear_caches, monkeypatch):
+    # a MemoryError inside the kernel stores no field, so the next call builds it and gets the fresh result
+    v, grids = halfspace_suite("standard")[0], []
+    build, kernel = halfspace.build_plane_grid, halfspace._field_integrals
+
+    def out_of_memory(*args):
+        raise MemoryError("no room for the field")
+
+    monkeypatch.setattr(halfspace, "build_plane_grid", lambda *args: grids.append(build(*args)) or grids[-1])
+    monkeypatch.setattr(halfspace, "_field_integrals", out_of_memory)
+    with pytest.raises(MemoryError):
+        margin_halfspace("rellich1", v, 5)
+    assert grids and not any(key[1] == "field" for grid in grids for key in grid._terms)
+    monkeypatch.setattr(halfspace, "_field_integrals", kernel)
+    again = margin_halfspace("rellich1", v, 5).to_dict()
+    clear_caches()
+    assert repr(again) == repr(margin_halfspace("rellich1", v, 5).to_dict())
+
+
 def test_field_kernel_holds_one_block_at_a_time():
-    # one reused block buffer plus the per-row and per-column factors, never a fresh block per block
+    # one reused block buffer plus the per-row sums and factors and the per-column factors, never a fresh block
     N, spec, v = 5, PlaneQuadratureSpec(), halfspace_suite("pole")[0]
     for refine in (1, 2):
         grid = build_plane_grid(spec, v.box, refine)
-        rows, cols = v.phi(grid.rho) ** 2 * grid.rho ** (N - 2), v.psi(grid.y) ** 2 * grid.y**-2.0
+        rows, cols = _field_weights(_PlaneTable(v, N, grid.rho, grid.y), grid, N)
         tracemalloc.start()
         try:
             _field_integrals(grid, rows, cols)
