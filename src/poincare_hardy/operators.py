@@ -12,9 +12,14 @@ Only the Laplacian levels carry N.  The jets of u and of coth on those nodes
 serve every radial grid integral (the tables of every N, and the estimates'
 v, v', v'' over sinh^{(N-1)/2} r).  coth's jet depends only on the grid, and
 u = r^p * base (``power_split``) takes its jet by p shifts of base's, so
-``_grid_jet`` builds each of those once per grid and order: the suite members
-that share a support and differ only in p share one Bump core per grid, which
-``_profile_jets`` shifts on every call: there is no cache per (u, grid, order).
+``_grid_jet`` keeps one jet of each on the grid (``Grid._jets``), built at the
+highest order asked so far, and serves a lower order as a view of its first
+coefficients: coefficient j of every jet is the same float whatever the jet's
+order.  The suite members that share a support and differ only in p share one
+Bump core per grid, which ``_profile_jets`` shifts on every call: there is no
+cache per (u, grid, order).  The stored jets go with their grid, so
+``quadrature._cached_grid``'s 64 entries bound them, and they are shared by
+the commands of one process only: one command run cold asks no jet twice.
 Every array is read-only, so no caller can write into another's.  A table of
 m levels needs order 2m + 1: its top level is read only as a value and a slope.
 
@@ -61,12 +66,19 @@ def to_v_transform(ujet: Jet, N: int, r: np.ndarray) -> Jet:
 _COTH = "coth"
 
 
-@functools.lru_cache(maxsize=16)
 def _grid_jet(f: RadialProfile | str, grid: Grid, order: int) -> Jet:
-    """The jet of coth (f = ``_COTH``) or of the profile f on ``grid.nodes``, read-only."""
-    jet = coth_jet(grid.nodes, order) if f == _COTH else f.jet(grid.nodes, order)
-    jet.coef.flags.writeable = False
-    return jet
+    """The jet of coth (f = ``_COTH``) or of the profile f on ``grid.nodes``, read-only.
+
+    ``grid._jets`` keeps one jet per f, of the highest order asked so far; a lower
+    order is a view of its first coefficients, the floats a fresh jet of that order has.
+    A build that raises stores nothing.
+    """
+    jet = grid._jets.get(f)
+    if jet is None or jet.order < order:
+        jet = coth_jet(grid.nodes, order) if f == _COTH else f.jet(grid.nodes, order)
+        jet.coef.flags.writeable = False
+        grid._jets[f] = jet
+    return jet.truncate(order)
 
 
 def _profile_jets(u: RadialProfile, grid: Grid, order: int) -> tuple[Jet, Jet]:

@@ -45,10 +45,11 @@ cache is bounded: at most 34 arrays, each no longer than its grid, so under
 to overflow is an exception, which ``lru_cache`` never stores: it builds no
 weight and repeats on every call.
 
-Each ``Grid`` also carries a memo of the integrals finished on it (``_terms``;
-see ``Grid``).  It lives on the grid rather than in a module-level table
-keyed by the grid, so it keeps no grid alive: when ``_cached_grid`` (64
-entries) drops a grid, its memo goes with it.
+Each ``Grid`` also carries a memo of the integrals finished on it (``_terms``)
+and one of the jets taken on its nodes (``_jets``; see ``Grid``).  They live
+on the grid rather than in a module-level table keyed by the grid, so they
+keep no grid alive: when ``_cached_grid`` (64 entries) drops a grid, its memos
+go with it.
 """
 
 from __future__ import annotations
@@ -96,14 +97,18 @@ class Grid:
     ``_terms`` memoises the integrals already taken on this grid: a verifier
     term under (u, N, k, weight) (see ``verify._integrals``) and the raw
     v-family of d under (d, N, keys) (see ``identities._mode_raw_integrals``).
+    ``_jets`` holds the read-only jets of coth and of each profile's base (a
+    Bump's core) on the nodes, at the highest order asked so far (see
+    ``operators._grid_jet``).
     """
 
-    __slots__ = ("nodes", "weights", "_terms")
+    __slots__ = ("nodes", "weights", "_terms", "_jets")
 
     def __init__(self, nodes: np.ndarray, weights: np.ndarray):
         self.nodes = nodes
         self.weights = weights
         self._terms = {}
+        self._jets = {}
 
     def integrate(self, values: np.ndarray, weight: str = "one", N: int = 1) -> float | list[float]:
         """Weighted sum of ``(values * weight) * sinh^{N-1} r`` given on the nodes (see the module docstring);

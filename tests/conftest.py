@@ -9,9 +9,8 @@ import pytest
 from poincare_hardy import constants, halfspace, operators, quadrature
 
 _CACHES = (
-    quadrature._cached_grid,  # each grid owns its term memo, so this clears that too
+    quadrature._cached_grid,  # each grid owns its term and jet memos, so this clears those too
     quadrature._grid_weight,
-    operators._grid_jet,
     operators.radial_table,
     constants.chain_replay,
     halfspace.build_plane_grid,  # each plane grid owns its jet and field memo, so this clears that too
